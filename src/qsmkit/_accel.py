@@ -34,11 +34,6 @@ KIND_CYLINDER = 1
 KIND_CUBOID = 2
 
 
-def weighted_sin_residual_numpy(field, phase, w2):
-    """w2 * sin(field - phase), elementwise."""
-    return w2 * np.sin(field - phase)
-
-
 def trig_cost_numpy(field, phase, w2):
     """sum of 2 * w2 * (1 - cos(field - phase))."""
     return float(np.sum(2.0 * w2 * (1.0 - np.cos(field - phase))))
@@ -77,6 +72,30 @@ def _for_chunks(fn, n):
     list(_pool.map(run, bounds[:-1], bounds[1:]))
 
 
+def _flat64(*volumes):
+    return [np.ascontiguousarray(v, dtype=np.float64).reshape(-1) for v in volumes]
+
+
+def weighted_sin_residual_numpy(field, phase, w2):
+    """w2 * sin(field - phase), elementwise.
+
+    The subtract, sin and multiply run in place on one thread per FFT worker,
+    over the chunks residual_and_cost_numpy uses, so the result is the same
+    bits as the plain expression for every thread count.
+    """
+    resid = np.empty(np.shape(field))
+    f, p, w = _flat64(field, phase, w2)
+    r = resid.reshape(-1)
+
+    def chunk(lo, hi):
+        np.subtract(f[lo:hi], p[lo:hi], out=r[lo:hi])
+        np.sin(r[lo:hi], out=r[lo:hi])
+        r[lo:hi] *= w[lo:hi]
+
+    _for_chunks(chunk, f.size)
+    return resid
+
+
 def residual_and_cost_numpy(field, phase, w2):
     """One pass over the residual angle: returns (w2*sin(d), sum 2*w2*(1-cos(d))).
 
@@ -87,7 +106,7 @@ def residual_and_cost_numpy(field, phase, w2):
     """
     resid = np.empty(np.shape(field))
     terms = np.empty(np.shape(field))
-    f, p, w = (np.ascontiguousarray(v, dtype=np.float64).reshape(-1) for v in (field, phase, w2))
+    f, p, w = _flat64(field, phase, w2)
     r, c = resid.reshape(-1), terms.reshape(-1)
 
     def chunk(lo, hi):

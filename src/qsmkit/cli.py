@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 
-from .core import Acquisition, Orientation, OrientationDataset, ScalarVolume, VolumeGrid
+from .core import Acquisition, Orientation, OrientationDataset, ScalarVolume, VolumeGrid, fft_workers
 from .dipole import dipole_kernel
 from .invert import CosmosConfig, L2Config, TkdConfig, cosmos, l2_closedform, tkd
 from .io import NiftiFormatError, read_nifti, slice_to_pgm, write_nifti
 from .metrics import SsimConfig, data_consistency, nrmse, ssim3d
-from .ndi import NdiConfig, ndi_reconstruct
+from .ndi import NdiConfig, NdiDivergenceError, ndi_reconstruct
 from .preprocess import SmvConfig, laplacian_unwrap, smv_filter
 from .simulate import NoiseSpec, PhantomSpec, Shape, make_phantom, simulate_acquisition
 
@@ -32,19 +32,23 @@ class ConfigError(ValueError):
     """Configuration or usage problem; maps to exit code 2."""
 
 
+def _load_json_object(path, what):
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} file not found: {path}")
+    with open(path) as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} {path}: top level must be a JSON object")
+    return value
+
+
 def _load_config(path):
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path}: top level must be a JSON object")
-    return cfg
+    return _load_json_object(path, "config")
 
 
 def _opt(args, cfg, name, default=None):
@@ -98,7 +102,10 @@ def _parse_shape(entry, where):
 
 
 def _parse_orientation(vec, where) -> Orientation:
-    arr = np.asarray(vec, dtype=np.float64)
+    try:
+        arr = np.asarray(vec, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: orientation must be 3 numbers, got {vec!r}") from exc
     if arr.shape != (3,):
         raise ConfigError(f"{where}: orientation needs 3 components, got {vec!r}")
     norm = float(np.linalg.norm(arr))
@@ -226,20 +233,35 @@ def cmd_smv(args):
     return 0
 
 
+def _sidecar_entries(path):
+    """The entries of a dataset sidecar, checked for the keys _load_dataset reads."""
+    entries = _load_json_object(path, "dataset").get("entries")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"dataset {path}: 'entries' must be a non-empty list")
+    for i, item in enumerate(entries):
+        where = f"dataset {path} entries[{i}]"
+        if not isinstance(item, dict):
+            raise ConfigError(f"{where}: must be a JSON object")
+        missing = [k for k in ("phase", "magnitude", "orientation") if k not in item]
+        if missing:
+            raise ConfigError(f"{where}: missing {', '.join(map(repr, missing))}")
+        for key in ("phase", "magnitude"):
+            if not isinstance(item[key], str):
+                raise ConfigError(f"{where}: {key!r} must be a file name, got {item[key]!r}")
+    return entries
+
+
 def _load_dataset(args, cfg, mask: ScalarVolume, phase_scale: float) -> OrientationDataset:
     """Dataset from a sidecar JSON or from repeated --phase/--magnitude/--bvec."""
     sidecar_path = _opt(args, cfg, "dataset")
     entries = []
     if sidecar_path is not None:
-        _require_input(sidecar_path)
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
         base = os.path.dirname(os.path.abspath(sidecar_path))
-        for i, item in enumerate(sidecar.get("entries", [])):
+        for i, item in enumerate(_sidecar_entries(sidecar_path)):
+            where = f"dataset {sidecar_path} entries[{i}]"
             phase = _load_volume(os.path.join(base, item["phase"]))
             magnitude = _load_volume(os.path.join(base, item["magnitude"]))
-            orientation = _parse_orientation(item["orientation"], f"dataset entries[{i}]")
-            entries.append((phase, magnitude, orientation))
+            entries.append((phase, magnitude, _parse_orientation(item["orientation"], where)))
     else:
         phases = args.phase or []
         if not phases:
@@ -271,11 +293,33 @@ def _load_dataset(args, cfg, mask: ScalarVolume, phase_scale: float) -> Orientat
 _ALGORITHMS = ("tkd", "cosmos", "l2", "ndi")
 
 
+def _solver_config(args, cfg, algo, reference):
+    """The config of algo from flags and config file; a bad value is a ConfigError."""
+    try:
+        if algo == "tkd":
+            return TkdConfig(delta=float(_opt(args, cfg, "tkd_delta", 0.2)))
+        if algo == "l2":
+            return L2Config(lam=float(_opt(args, cfg, "l2_lambda", 0.01)))
+        if algo == "cosmos":
+            return CosmosConfig(eps=float(_opt(args, cfg, "cosmos_eps", 1e-6)))
+        return NdiConfig(
+            step_size=float(_opt(args, cfg, "ndi_step", 1.0)),
+            lam=float(_opt(args, cfg, "ndi_lambda", 0.001)),
+            max_iters=int(_opt(args, cfg, "ndi_iters", 400)),
+            record_history=bool(_opt(args, cfg, "history_out")),
+            reference=reference,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{algo} options: {exc}") from exc
+
+
 def cmd_invert(args):
     cfg = _load_config(args.config)
     algo = _require(args, cfg, "algo")
     if algo not in _ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algo!r}, expected one of {', '.join(_ALGORITHMS)}")
+    reference = _opt(args, cfg, "reference") if algo == "ndi" else None
+    solver_cfg = _solver_config(args, cfg, algo, _load_volume(reference) if reference else None)
     mask = _load_volume(_require(args, cfg, "mask"))
     phase_scale = float(_opt(args, cfg, "phase_scale", 1.0))
     dataset = _load_dataset(args, cfg, mask, phase_scale)
@@ -287,10 +331,8 @@ def cmd_invert(args):
         entry = dataset.entries[0]
         kernel = dipole_kernel(dataset.grid, entry.orientation)
         phase = ScalarVolume(dataset.grid, entry.phase.data * mask.data)
-        if algo == "tkd":
-            result = tkd(phase, kernel, TkdConfig(delta=float(_opt(args, cfg, "tkd_delta", 0.2))))
-        else:
-            result = l2_closedform(phase, kernel, L2Config(lam=float(_opt(args, cfg, "l2_lambda", 0.01))))
+        solve = tkd if algo == "tkd" else l2_closedform
+        result = solve(phase, kernel, solver_cfg)
         result = ScalarVolume(dataset.grid, result.data * mask.data)
     elif algo == "cosmos":
         masked = OrientationDataset(
@@ -304,18 +346,10 @@ def cmd_invert(args):
             ),
             mask=mask,
         )
-        result = cosmos(masked, CosmosConfig(eps=float(_opt(args, cfg, "cosmos_eps", 1e-6))))
+        result = cosmos(masked, solver_cfg)
         result = ScalarVolume(dataset.grid, result.data * mask.data)
     else:
-        reference = _opt(args, cfg, "reference")
-        ndi_cfg = NdiConfig(
-            step_size=float(_opt(args, cfg, "ndi_step", 1.0)),
-            lam=float(_opt(args, cfg, "ndi_lambda", 0.001)),
-            max_iters=int(_opt(args, cfg, "ndi_iters", 400)),
-            record_history=bool(_opt(args, cfg, "history_out")),
-            reference=_load_volume(reference) if reference else None,
-        )
-        ndi_result = ndi_reconstruct(dataset, ndi_cfg)
+        ndi_result = ndi_reconstruct(dataset, solver_cfg)
         result = ndi_result.chi
         history_out = _opt(args, cfg, "history_out")
         if history_out:
@@ -467,15 +501,24 @@ def _build_parser():
     return parser
 
 
+def _check_threads():
+    """A malformed QSM_THREADS is a usage error, reported before any work."""
+    try:
+        fft_workers()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_threads()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NiftiFormatError, OSError) as exc:
+    except (ValueError, NiftiFormatError, OSError, NdiDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

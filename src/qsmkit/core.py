@@ -43,11 +43,17 @@ class GridMismatchError(ValueError):
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls; QSM_THREADS caps it, 0 or unset means auto."""
+    """Worker count for FFT calls; QSM_THREADS caps it, 0 or unset means auto.
+
+    Raises ValueError naming QSM_THREADS when it is not an integer.
+    """
     raw = os.environ.get("QSM_THREADS", "").strip()
     if raw in ("", "0"):
         return os.cpu_count() or 1
-    return max(1, int(raw))
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"QSM_THREADS must be an integer (0 = auto), got {raw!r}") from None
 
 
 @dataclass(frozen=True)

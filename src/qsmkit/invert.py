@@ -45,8 +45,8 @@ class CosmosConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("COSMOS eps must be positive")
+        if not (self.eps > 0 and np.isfinite(self.eps)):
+            raise ValueError("COSMOS eps must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class L2Config:
     lam: float = 0.01
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("L2 lambda must be >= 0")
+        if not (self.lam >= 0 and np.isfinite(self.lam)):
+            raise ValueError("L2 lambda must be finite and >= 0")
 
 
 def tkd_multiplier(d: np.ndarray, delta: float) -> np.ndarray:

@@ -29,7 +29,15 @@ class NiftiFormatError(ValueError):
 
 
 def write_nifti(path, volume: ScalarVolume):
-    """Write a single-file little-endian float32 NIfTI-1 volume."""
+    """Write a single-file little-endian float32 NIfTI-1 volume.
+
+    Raises ValueError, before the file is opened, when a value lies outside
+    the float32 range: it would be stored as inf, which read_nifti refuses.
+    """
+    with np.errstate(over="ignore"):
+        samples = volume.data.astype("<f4")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{path}: values beyond the float32 range cannot be written")
     nx, ny, nz = volume.grid.dims
     dx, dy, dz = volume.grid.spacing
     header = bytearray(_HEADER_SIZE)
@@ -45,7 +53,7 @@ def write_nifti(path, volume: ScalarVolume):
     with open(path, "wb") as fh:
         fh.write(bytes(header))
         fh.write(b"\x00\x00\x00\x00")  # extension flag: none
-        fh.write(volume.data.astype("<f4").tobytes(order="F"))
+        fh.write(samples.tobytes(order="F"))
 
 
 def read_nifti(path) -> ScalarVolume:

@@ -24,7 +24,12 @@ __all__ = ["NdiConfig", "NdiResult", "NdiDivergenceError", "ndi_cost", "ndi_grad
 
 
 class NdiDivergenceError(RuntimeError):
-    """Raised when the solver cost becomes non-finite."""
+    """Raised when an iterate leaves the floating-point range.
+
+    Each iteration checks that the data residual w^2*sin(D*chi - phi) of the
+    iterate is finite; a solve that records history checks its cost instead,
+    which also covers the residual. The message names the iteration.
+    """
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,10 @@ class NdiConfig:
     reference: ScalarVolume | None = None
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step size must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not (self.step_size > 0 and np.isfinite(self.step_size)):
+            raise ValueError("step size must be positive and finite")
+        if not (self.lam >= 0 and np.isfinite(self.lam)):
+            raise ValueError("lambda must be finite and >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -135,6 +140,13 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     under permutation of the dataset. Recorded histories carry one entry per
     executed iteration: the objective (data term plus lam*||chi||^2) of each
     produced iterate, and its NRMSE against cfg.reference when given.
+
+    The update needs only the sine residual, so the cost (a cosine per voxel
+    and the norm of chi) is computed only when cfg.record_history is set;
+    either way the result has the same bits. A non-finite residual, or a
+    non-finite recorded cost, raises NdiDivergenceError naming the iteration.
+    With lam > 0 the cost's lam*||chi||^2 can overflow an iteration or two
+    before the residual does, so a recording solve may name an earlier one.
     """
     grid = dataset.grid
     dims = grid.dims
@@ -175,29 +187,40 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
         return _fft.irfftn(spec, s=dims, workers=fft_workers())
 
     for t in range(cfg.max_iters):
-        # overflow here is not an error condition: the guard below turns a
-        # non-finite cost into a diagnosable NdiDivergenceError
+        # overflow here is not an error condition: the guards below turn a
+        # non-finite residual or cost into a diagnosable NdiDivergenceError,
+        # at this iteration or, if the update overflows, at the next one
         with np.errstate(over="ignore", invalid="ignore"):
-            cost_t = lam * _half_norm2(chi_hat, dims) if lam != 0.0 else 0.0
+            if cfg.record_history:
+                cost_t = lam * _half_norm2(chi_hat, dims) if lam != 0.0 else 0.0
             update = None
             for phi, weight, half in zip(phases, w2, halves):
                 field_r = image_of(np.multiply(chi_hat, half, out=spec))
-                resid, cost_r = _accel.residual_and_cost(field_r, phi, weight)
-                cost_t += cost_r
+                if cfg.record_history:
+                    resid, cost_r = _accel.residual_and_cost(field_r, phi, weight)
+                    cost_t += cost_r
+                else:
+                    resid = _accel.weighted_sin_residual(field_r, phi, weight)
+                    # |w^2 sin| <= w^2, at most 1 in the mask after the max
+                    # normalization, so the sum is non-finite only when some
+                    # residual is: when the field itself has overflowed
+                    if not np.isfinite(np.sum(resid)):
+                        raise NdiDivergenceError(f"residual became non-finite at iteration {t}")
                 term = _fft.rfftn(resid, workers=fft_workers())
                 term *= half
                 if update is None:
                     update = term
                 else:
                     update += term
-        if not np.isfinite(cost_t):
-            raise NdiDivergenceError(f"cost became non-finite at iteration {t}")
-        if cfg.record_history and t >= 1:
-            cost_history.append(cost_t)
+            if cfg.record_history:
+                if not np.isfinite(cost_t):
+                    raise NdiDivergenceError(f"cost became non-finite at iteration {t}")
+                if t >= 1:
+                    cost_history.append(cost_t)
 
-        chi_hat *= shrink
-        update *= 2.0 * tau
-        chi_hat -= update
+            chi_hat *= shrink
+            update *= 2.0 * tau
+            chi_hat -= update
 
         if track_nrmse:
             xv = image_of(chi_hat)[inside]
@@ -209,7 +232,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
 
     chi = image_of(chi_hat)
     if not np.all(np.isfinite(chi)):
-        raise NdiDivergenceError(f"cost became non-finite at iteration {cfg.max_iters}")
+        raise NdiDivergenceError(f"iterate became non-finite at iteration {cfg.max_iters}")
     if cfg.record_history:
         final_cost = lam * float(np.sum(chi * chi))
         for phi, weight, half in zip(phases, w2, halves):

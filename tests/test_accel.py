@@ -132,3 +132,15 @@ np.save(__import__("sys").argv[1], res.chi.data)
     )
     a, b = np.load(out_nb), np.load(out_np)
     assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_weighted_sin_residual_numpy_same_bits_for_every_thread_count(monkeypatch, threads):
+    rng = np.random.default_rng(74)
+    field = rng.standard_normal((48, 48, 48))
+    phase = rng.standard_normal((48, 48, 48))
+    w2 = rng.uniform(0.0, 2.0, (48, 48, 48))
+    assert field.size >= 2 * _accel._CHUNK
+    monkeypatch.setenv("QSM_THREADS", threads)
+    resid = _accel.weighted_sin_residual_numpy(field, phase, w2)
+    assert resid.tobytes() == (w2 * np.sin(field - phase)).tobytes()

@@ -311,6 +311,106 @@ def test_config_file_supplies_defaults(tmp_path):
     assert (tmp_path / "cfg_out.nii").exists()
 
 
+def _small_dataset(tmp_path):
+    """An 8^3 phantom with one noisy orientation; returns the sidecar path."""
+    _run_phantom(tmp_path, _phantom_config(tmp_path, dims=8, radius=2.0, mask_radius=3.5))
+    return _run_simulate(tmp_path, sigma=0.01, seed=1, bvecs=("0,0,1",)) / "dataset.json"
+
+
+def _invert(tmp_path, dataset, *flags):
+    return main(
+        ["invert", "--dataset", str(dataset), "--mask", str(tmp_path / "mask.nii"),
+         "--out", str(tmp_path / "out.nii"), *flags]
+    )
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_ndi_divergence_exits_1(tmp_path, capsys):
+    dataset = _small_dataset(tmp_path)
+    capsys.readouterr()
+    rc = _invert(tmp_path, dataset, "--algo", "ndi",
+                 "--ndi-step", "1e154", "--ndi-lambda", "0.5", "--ndi-iters", "5")
+    assert rc == 1
+    assert "iteration" in _one_line_error(capsys)
+    assert not (tmp_path / "out.nii").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--algo", "ndi", "--ndi-iters", "0"),
+        ("--algo", "ndi", "--ndi-step", "0"),
+        ("--algo", "ndi", "--ndi-lambda", "-1"),
+        ("--algo", "tkd", "--tkd-delta", "5"),
+        ("--algo", "l2", "--l2-lambda", "-1"),
+        ("--algo", "cosmos", "--cosmos-eps", "0"),
+        ("--algo", "ndi", "--ndi-step", "nan"),
+        ("--algo", "ndi", "--ndi-lambda", "inf"),
+        ("--algo", "l2", "--l2-lambda", "nan"),
+        ("--algo", "cosmos", "--cosmos-eps", "nan"),
+    ],
+    ids=["ndi-iters-0", "ndi-step-0", "ndi-lambda-negative", "tkd-delta-5", "l2-lambda-negative",
+         "cosmos-eps-0", "ndi-step-nan", "ndi-lambda-inf", "l2-lambda-nan", "cosmos-eps-nan"],
+)
+def test_invalid_solver_option_exits_2(tmp_path, capsys, flags):
+    dataset = _small_dataset(tmp_path)
+    capsys.readouterr()
+    assert _invert(tmp_path, dataset, *flags) == 2
+    assert flags[1] in _one_line_error(capsys)
+
+
+def test_non_numeric_solver_option_in_config_exits_2(tmp_path, capsys):
+    dataset = _small_dataset(tmp_path)
+    capsys.readouterr()
+    config = _write_config(tmp_path, {"ndi_iters": "many"}, "invert.json")
+    assert _invert(tmp_path, dataset, "--algo", "ndi", "--config", config) == 2
+    assert "many" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[{"phase": "phase_000.nii"}]', "top level must be a JSON object"),
+        ('{"entries": [{"phase": "phase_000.nii", "orientation": [0, 0, 1]}]}', "'magnitude'"),
+        ('{"entries": [', "invalid JSON"),
+    ],
+    ids=["top-level-list", "entry-missing-magnitude", "invalid-json"],
+)
+def test_malformed_sidecar_exits_2_naming_it(tmp_path, capsys, text, message):
+    dataset = _small_dataset(tmp_path)
+    sidecar = dataset.parent / "broken.json"
+    sidecar.write_text(text)
+    capsys.readouterr()
+    assert _invert(tmp_path, sidecar, "--algo", "tkd") == 2
+    err = _one_line_error(capsys)
+    assert str(sidecar) in err and message in err
+
+
+def test_malformed_qsm_threads_exits_2(tmp_path, capsys, monkeypatch):
+    dataset = _small_dataset(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv("QSM_THREADS", "abc")
+    assert _invert(tmp_path, dataset, "--algo", "tkd") == 2
+    assert "QSM_THREADS" in _one_line_error(capsys)
+    assert not (tmp_path / "out.nii").exists()
+
+
+def test_chi_beyond_float32_exits_1_without_writing(tmp_path, capsys):
+    # the solve ends finite near 1e306, which float32 cannot hold
+    dataset = _small_dataset(tmp_path)
+    capsys.readouterr()
+    rc = _invert(tmp_path, dataset, "--algo", "ndi",
+                 "--ndi-step", "1e305", "--ndi-lambda", "0", "--ndi-iters", "5")
+    assert rc == 1
+    assert "float32" in _one_line_error(capsys)
+    assert not (tmp_path / "out.nii").exists()
+
+
 def test_module_entrypoint_help():
     proc = subprocess.run(
         [sys.executable, "-m", "qsmkit.cli", "--help"], capture_output=True, text=True, env=child_env()

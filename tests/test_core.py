@@ -14,7 +14,7 @@ from qsmkit import (
     ifft3,
     mask_erode,
 )
-from qsmkit.core import frequency_axes
+from qsmkit.core import fft_workers, frequency_axes
 
 from conftest import EZ, brute_erode, naive_dft3, naive_idft3, ones_volume, random_volume
 
@@ -246,3 +246,11 @@ def test_mask_erode_monotone_and_composition():
     composed = mask_erode(mask_erode(ScalarVolume(g, big), r2), r1).data
     bound = mask_erode(ScalarVolume(g, big), max(r1, r2)).data
     assert np.all(composed <= bound)
+
+
+def test_fft_workers_reads_qsm_threads(monkeypatch):
+    monkeypatch.setenv("QSM_THREADS", "3")
+    assert fft_workers() == 3
+    monkeypatch.setenv("QSM_THREADS", "abc")
+    with pytest.raises(ValueError, match="QSM_THREADS"):
+        fft_workers()

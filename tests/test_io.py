@@ -171,3 +171,13 @@ def test_slice_errors(tmp_path):
         slice_to_pgm(v, "w", 0, 0.0, 1.0, tmp_path / "x.pgm")
     with pytest.raises(ValueError):
         slice_to_pgm(v, "z", 0, 1.0, 1.0, tmp_path / "x.pgm")
+
+
+def test_writer_rejects_values_beyond_float32_before_opening(tmp_path):
+    g = VolumeGrid((4, 4, 4))
+    data = np.zeros(g.dims)
+    data[1, 2, 3] = -1e306
+    path = tmp_path / "big.nii"
+    with pytest.raises(ValueError, match="float32"):
+        write_nifti(path, ScalarVolume(g, data))
+    assert not path.exists()

@@ -205,6 +205,61 @@ def test_divergence_guard_with_threaded_trig(monkeypatch):
             ndi_reconstruct(ds, NdiConfig(step_size=1e305, lam=0.0, max_iters=5))
 
 
+def test_divergence_guard_names_the_same_iteration_when_recording(monkeypatch):
+    # the recording solve guards its cost, the bare one its residual; with
+    # lam = 0 both see the overflowed field at the same iteration
+    monkeypatch.setenv("QSM_THREADS", "2")
+    g = VolumeGrid((48, 48, 48))
+    ds = _random_dataset(g, np.random.default_rng(13), n_orient=1)
+    cfg = NdiConfig(step_size=1e305, lam=0.0, max_iters=5, record_history=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NdiDivergenceError, match="iteration 1"):
+            ndi_reconstruct(ds, cfg)
+
+
+def _sphere_dataset_48(n_orient):
+    g = VolumeGrid((48, 48, 48))
+    xs, ys, zs = voxel_coords(g)
+    r2 = xs[:, None, None] ** 2 + ys[None, :, None] ** 2 + zs[None, None, :] ** 2
+    chi = ScalarVolume(g, np.where(r2 <= 8.0**2, 0.1, 0.0))
+    mask = ScalarVolume(g, (r2 <= 20.0**2).astype(float))
+    ds = simulate_acquisition(chi, mask, [EZ, rot_x(30)][:n_orient], NoiseSpec(0.01, 14))
+    return chi, OrientationDataset(entries=ds.entries, mask=mask)
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+def test_solve_same_bits_for_every_thread_count(monkeypatch, record_history):
+    # 48^3 is large enough for the voxelwise trig to be split across threads
+    chi, ds = _sphere_dataset_48(n_orient=2)
+    cfg = NdiConfig(
+        lam=0.001,
+        max_iters=20,
+        record_history=record_history,
+        reference=chi if record_history else None,
+    )
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QSM_THREADS", threads)
+        results.append(ndi_reconstruct(ds, cfg))
+    one, two = results
+    assert one.chi.data.tobytes() == two.chi.data.tobytes()
+    assert one.cost_history == two.cost_history
+    assert one.nrmse_history == two.nrmse_history
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.001])
+def test_bare_solve_same_bits_as_recording_solve(lam):
+    # the bare solve skips the cost; the iterates must not notice
+    chi, ds = _sphere_dataset_48(n_orient=1)
+    bare = ndi_reconstruct(ds, NdiConfig(lam=lam, max_iters=20))
+    recording = ndi_reconstruct(
+        ds, NdiConfig(lam=lam, max_iters=20, record_history=True, reference=chi)
+    )
+    assert bare.chi.data.tobytes() == recording.chi.data.tobytes()
+    assert len(recording.cost_history) == 20
+
+
 def test_magnitude_normalization_is_global(grid8):
     # scaling all magnitudes by a constant leaves the reconstruction unchanged
     rng = np.random.default_rng(12)
