@@ -1,32 +1,18 @@
-"""Voxelwise hot kernels, JIT-compiled with numba when available.
+"""Voxelwise hot kernels of the solver and the phantom rasterizer, in numpy.
 
-Every kernel has a pure-numpy implementation (``*_numpy``). The module-level
-names point at the numba build unless ``QSM_DISABLE_NUMBA=1`` is set or numba
-cannot be imported, in which case they fall back to numpy. Output must be
-bit-deterministic for fixed input: the numba kernels are sequential, and the
-numpy residual kernel splits only its elementwise work across threads, so its
-values do not depend on the thread count.
+Output is bit-deterministic for fixed input: the residual kernels split only
+their elementwise work across threads, into chunks at fixed offsets, and sum
+once over the whole volume, so their values do not depend on the thread count.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .core import fft_workers
 
-_env = os.environ.get("QSM_DISABLE_NUMBA", "").strip()
-NUMBA_DISABLED = _env not in ("", "0")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via QSM_DISABLE_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    njit = None
-    USING_NUMBA = False
+# Read by the benchmark's machine facts; the kernels are numpy only.
+USING_NUMBA = False
 
 # shape kind codes shared with simulate.py
 KIND_SPHERE = 0
@@ -34,7 +20,7 @@ KIND_CYLINDER = 1
 KIND_CUBOID = 2
 
 
-def trig_cost_numpy(field, phase, w2):
+def trig_cost(field, phase, w2):
     """sum of 2 * w2 * (1 - cos(field - phase))."""
     return float(np.sum(2.0 * w2 * (1.0 - np.cos(field - phase))))
 
@@ -76,11 +62,11 @@ def _flat64(*volumes):
     return [np.ascontiguousarray(v, dtype=np.float64).reshape(-1) for v in volumes]
 
 
-def weighted_sin_residual_numpy(field, phase, w2):
+def weighted_sin_residual(field, phase, w2):
     """w2 * sin(field - phase), elementwise.
 
     The subtract, sin and multiply run in place on one thread per FFT worker,
-    over the chunks residual_and_cost_numpy uses, so the result is the same
+    over the chunks residual_and_cost uses, so the result is the same
     bits as the plain expression for every thread count.
     """
     resid = np.empty(np.shape(field))
@@ -96,7 +82,7 @@ def weighted_sin_residual_numpy(field, phase, w2):
     return resid
 
 
-def residual_and_cost_numpy(field, phase, w2):
+def residual_and_cost(field, phase, w2):
     """One pass over the residual angle: returns (w2*sin(d), sum 2*w2*(1-cos(d))).
 
     The three volumes share one shape. The sin and cos run on one thread per
@@ -122,7 +108,7 @@ def residual_and_cost_numpy(field, phase, w2):
     return resid, float(np.sum(terms))
 
 
-def rasterize_shapes_numpy(xs, ys, zs, kinds, centers, sizes, axes, chis, background):
+def rasterize_shapes(xs, ys, zs, kinds, centers, sizes, axes, chis, background):
     """Fill a volume from shape primitives; the last shape containing a voxel wins."""
     out = np.full((xs.size, ys.size, zs.size), background, dtype=np.float64)
     px = xs[:, None, None]
@@ -146,87 +132,3 @@ def rasterize_shapes_numpy(xs, ys, zs, kinds, centers, sizes, axes, chis, backgr
             )
         out[inside] = chis[s]
     return out
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def weighted_sin_residual(field, phase, w2):
-        out = np.empty_like(field)
-        f = field.ravel()
-        p = phase.ravel()
-        w = w2.ravel()
-        o = out.ravel()
-        for i in range(f.size):
-            o[i] = w[i] * np.sin(f[i] - p[i])
-        return out
-
-    @njit(cache=True)
-    def trig_cost(field, phase, w2):
-        f = field.ravel()
-        p = phase.ravel()
-        w = w2.ravel()
-        acc = 0.0
-        for i in range(f.size):
-            acc += 2.0 * w[i] * (1.0 - np.cos(f[i] - p[i]))
-        return acc
-
-    @njit(cache=True)
-    def residual_and_cost(field, phase, w2):
-        out = np.empty_like(field)
-        f = field.ravel()
-        p = phase.ravel()
-        w = w2.ravel()
-        o = out.ravel()
-        acc = 0.0
-        for i in range(f.size):
-            d = f[i] - p[i]
-            o[i] = w[i] * np.sin(d)
-            acc += 2.0 * w[i] * (1.0 - np.cos(d))
-        return out, acc
-
-    @njit(cache=True)
-    def _rasterize_shapes_jit(xs, ys, zs, kinds, centers, sizes, axes, chis, background):
-        out = np.empty((xs.size, ys.size, zs.size), dtype=np.float64)
-        n = kinds.shape[0]
-        for i in range(xs.size):
-            for j in range(ys.size):
-                for k in range(zs.size):
-                    value = background
-                    # walk shapes back-to-front so the last containing shape wins
-                    for s in range(n - 1, -1, -1):
-                        dx = xs[i] - centers[s, 0]
-                        dy = ys[j] - centers[s, 1]
-                        dz = zs[k] - centers[s, 2]
-                        if kinds[s] == KIND_SPHERE:
-                            hit = dx * dx + dy * dy + dz * dz <= sizes[s, 0] * sizes[s, 0]
-                        elif kinds[s] == KIND_CYLINDER:
-                            if axes[s] == 0:
-                                along, r2 = dx, dy * dy + dz * dz
-                            elif axes[s] == 1:
-                                along, r2 = dy, dx * dx + dz * dz
-                            else:
-                                along, r2 = dz, dx * dx + dy * dy
-                            hit = abs(along) <= sizes[s, 1] and r2 <= sizes[s, 0] * sizes[s, 0]
-                        else:
-                            hit = (
-                                abs(dx) <= sizes[s, 0]
-                                and abs(dy) <= sizes[s, 1]
-                                and abs(dz) <= sizes[s, 2]
-                            )
-                        if hit:
-                            value = chis[s]
-                            break
-                    out[i, j, k] = value
-        return out
-
-    def rasterize_shapes(xs, ys, zs, kinds, centers, sizes, axes, chis, background):
-        if kinds.shape[0] == 0:
-            return np.full((xs.size, ys.size, zs.size), background, dtype=np.float64)
-        return _rasterize_shapes_jit(xs, ys, zs, kinds, centers, sizes, axes, chis, background)
-
-else:
-    weighted_sin_residual = weighted_sin_residual_numpy
-    trig_cost = trig_cost_numpy
-    residual_and_cost = residual_and_cost_numpy
-    rasterize_shapes = rasterize_shapes_numpy

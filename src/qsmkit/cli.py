@@ -251,8 +251,13 @@ def _sidecar_entries(path):
     return entries
 
 
-def _load_dataset(args, cfg, mask: ScalarVolume, phase_scale: float) -> OrientationDataset:
-    """Dataset from a sidecar JSON or from repeated --phase/--magnitude/--bvec."""
+def _load_dataset(
+    args, cfg, mask: ScalarVolume, phase_scale: float, mask_phase=False
+) -> OrientationDataset:
+    """Dataset from a sidecar JSON or from repeated --phase/--magnitude/--bvec.
+
+    mask_phase zeroes the phase outside the mask, as the linear inversions need.
+    """
     sidecar_path = _opt(args, cfg, "dataset")
     entries = []
     if sidecar_path is not None:
@@ -284,6 +289,8 @@ def _load_dataset(args, cfg, mask: ScalarVolume, phase_scale: float) -> Orientat
     for phase, magnitude, orientation in entries:
         if phase_scale != 1.0:
             phase = ScalarVolume(phase.grid, phase_scale * phase.data)
+        if mask_phase:
+            phase = ScalarVolume(phase.grid, phase.data * mask.data)
         # restrict the data term to the trusted region
         magnitude = ScalarVolume(magnitude.grid, magnitude.data * mask.data)
         acquisitions.append(Acquisition(phase=phase, magnitude=magnitude, orientation=orientation))
@@ -322,31 +329,18 @@ def cmd_invert(args):
     solver_cfg = _solver_config(args, cfg, algo, _load_volume(reference) if reference else None)
     mask = _load_volume(_require(args, cfg, "mask"))
     phase_scale = float(_opt(args, cfg, "phase_scale", 1.0))
-    dataset = _load_dataset(args, cfg, mask, phase_scale)
+    # NDI weights its data term by the masked magnitude and reads the phase as given
+    dataset = _load_dataset(args, cfg, mask, phase_scale, mask_phase=algo != "ndi")
     out = _require(args, cfg, "out")
 
-    if algo in ("tkd", "l2"):
+    if algo == "cosmos":
+        result = ScalarVolume(dataset.grid, cosmos(dataset, solver_cfg).data * mask.data)
+    elif algo in ("tkd", "l2"):
         if dataset.n_orientations != 1:
             raise ConfigError(f"{algo} takes exactly one orientation, got {dataset.n_orientations}")
         entry = dataset.entries[0]
-        kernel = dipole_kernel(dataset.grid, entry.orientation)
-        phase = ScalarVolume(dataset.grid, entry.phase.data * mask.data)
         solve = tkd if algo == "tkd" else l2_closedform
-        result = solve(phase, kernel, solver_cfg)
-        result = ScalarVolume(dataset.grid, result.data * mask.data)
-    elif algo == "cosmos":
-        masked = OrientationDataset(
-            entries=tuple(
-                Acquisition(
-                    phase=ScalarVolume(dataset.grid, e.phase.data * mask.data),
-                    magnitude=e.magnitude,
-                    orientation=e.orientation,
-                )
-                for e in dataset.entries
-            ),
-            mask=mask,
-        )
-        result = cosmos(masked, solver_cfg)
+        result = solve(entry.phase, dipole_kernel(dataset.grid, entry.orientation), solver_cfg)
         result = ScalarVolume(dataset.grid, result.data * mask.data)
     else:
         ndi_result = ndi_reconstruct(dataset, solver_cfg)
@@ -423,8 +417,7 @@ def _build_parser():
         prog="qsm",
         description="Susceptibility-mapping pipeline: phantoms, forward simulation, "
         "preprocessing, dipole inversion, metrics, and slice export.",
-        epilog="QSM_THREADS caps internal parallelism (0 = auto); "
-        "QSM_DISABLE_NUMBA=1 selects the pure-numpy kernels.",
+        epilog="QSM_THREADS caps internal parallelism (0 = auto).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,6 +6,9 @@ Conventions used throughout the package:
   x-fastest (Fortran ravel),
 * the forward FFT is unnormalized, the inverse carries the ``1/N`` factor
   (numpy's convention), with the DC coefficient at index ``(0, 0, 0)``,
+* real volumes go through the ``rfftn`` half-spectrum (last axis
+  ``Nz // 2 + 1``); every transform runs here, on ``fft_workers()`` workers,
+  and a k-space multiplier is applied with ``spectral_apply``,
 * frequencies are physical, in cycles/mm, so anisotropic voxels produce
   correct dipole kernels,
 * physical voxel coordinates put the origin at voxel index ``dims // 2``.
@@ -30,6 +33,9 @@ __all__ = [
     "OrientationDataset",
     "fft3",
     "ifft3",
+    "rfft3",
+    "irfft3",
+    "spectral_apply",
     "freq_coords",
     "frequency_axes",
     "voxel_coords",
@@ -218,6 +224,26 @@ def ifft3(v: ComplexVolume) -> ComplexVolume:
     """Inverse 3D DFT with 1/(Nx*Ny*Nz) normalization."""
     out = _fft.ifftn(np.asarray(v.data, dtype=np.complex128), workers=fft_workers())
     return ComplexVolume(v.grid, out)
+
+
+def rfft3(data: np.ndarray) -> np.ndarray:
+    """Unnormalized forward 3D DFT of a real array, on the rfftn half-spectrum."""
+    return _fft.rfftn(data, workers=fft_workers())
+
+
+def irfft3(spec: np.ndarray, dims) -> np.ndarray:
+    """Real image of extents dims behind a half-spectrum, with the 1/N factor."""
+    return _fft.irfftn(spec, s=dims, workers=fft_workers())
+
+
+def spectral_apply(data: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """irfft3(symbol * rfft3(data)) for a real array and a half-spectrum symbol.
+
+    The product is formed in place in the forward transform's output.
+    """
+    spec = rfft3(data)
+    spec *= symbol
+    return irfft3(spec, np.shape(data))
 
 
 _AXES = {"x": 0, "y": 1, "z": 2}

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
-from .core import Orientation, ScalarVolume, VolumeGrid, fft_workers, frequency_axes
+from .core import Orientation, ScalarVolume, VolumeGrid, frequency_axes, spectral_apply
 
 __all__ = ["DipoleKernel", "dipole_kernel", "forward_field", "adjoint_field"]
 
@@ -29,7 +28,7 @@ class DipoleKernel:
 
     @property
     def half(self) -> np.ndarray:
-        """View of the kernel on the rfftn half-spectrum (last axis truncated)."""
+        """View of the kernel on the half-spectrum of core.rfft3 (last axis truncated)."""
         nz = self.grid.dims[2]
         return self.values[:, :, : nz // 2 + 1]
 
@@ -73,17 +72,10 @@ def dipole_kernel(grid: VolumeGrid, orientation: Orientation) -> DipoleKernel:
     return DipoleKernel(grid=grid, orientation=orientation, values=values)
 
 
-def _apply_kernel(data: np.ndarray, half: np.ndarray, dims) -> np.ndarray:
-    """real(ifft3(d * fft3(x))) for real x via the rfftn half-spectrum."""
-    spectrum = _fft.rfftn(data, workers=fft_workers())
-    spectrum *= half
-    return _fft.irfftn(spectrum, s=dims, workers=fft_workers())
-
-
 def forward_field(chi: ScalarVolume, kernel: DipoleKernel) -> ScalarVolume:
     """Field (phase) induced by a susceptibility volume: real(ifft3(d . fft3(chi)))."""
     chi.grid.require_compatible(kernel.grid)
-    return ScalarVolume(chi.grid, _apply_kernel(chi.data, kernel.half, chi.grid.dims))
+    return ScalarVolume(chi.grid, spectral_apply(chi.data, kernel.half))
 
 
 def adjoint_field(phi: ScalarVolume, kernel: DipoleKernel) -> ScalarVolume:

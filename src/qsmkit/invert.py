@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
-from .core import OrientationDataset, ScalarVolume, VolumeGrid, fft_workers
+from .core import OrientationDataset, ScalarVolume, VolumeGrid, irfft3, rfft3, spectral_apply
 from .dipole import DipoleKernel, dipole_kernel
 
 __all__ = [
@@ -71,17 +70,11 @@ def tkd_multiplier(d: np.ndarray, delta: float) -> np.ndarray:
     return inv
 
 
-def _spectral_inversion(phase: ScalarVolume, multiplier: np.ndarray) -> ScalarVolume:
-    dims = phase.grid.dims
-    spec = _fft.rfftn(phase.data, workers=fft_workers())
-    spec *= multiplier
-    return ScalarVolume(phase.grid, _fft.irfftn(spec, s=dims, workers=fft_workers()))
-
-
 def tkd(phase: ScalarVolume, kernel: DipoleKernel, cfg: TkdConfig = TkdConfig()) -> ScalarVolume:
     """Truncated k-space division of the tissue phase by the dipole kernel."""
     phase.grid.require_compatible(kernel.grid)
-    return _spectral_inversion(phase, tkd_multiplier(kernel.half, cfg.delta))
+    multiplier = tkd_multiplier(kernel.half, cfg.delta)
+    return ScalarVolume(phase.grid, spectral_apply(phase.data, multiplier))
 
 
 def cosmos(dataset: OrientationDataset, cfg: CosmosConfig = CosmosConfig()) -> ScalarVolume:
@@ -92,12 +85,11 @@ def cosmos(dataset: OrientationDataset, cfg: CosmosConfig = CosmosConfig()) -> S
     Orientations are accumulated in ascending entry order.
     """
     grid = dataset.grid
-    dims = grid.dims
     numerator = None
     denominator = None
     for entry in dataset.entries:
         d = dipole_kernel(grid, entry.orientation).half
-        spec = _fft.rfftn(entry.phase.data, workers=fft_workers())
+        spec = rfft3(entry.phase.data)
         spec *= d
         if numerator is None:
             numerator = spec
@@ -109,7 +101,7 @@ def cosmos(dataset: OrientationDataset, cfg: CosmosConfig = CosmosConfig()) -> S
     with np.errstate(divide="ignore", invalid="ignore"):
         chi_spec = numerator / denominator
     chi_spec = np.where(keep, chi_spec, 0.0)
-    return ScalarVolume(grid, _fft.irfftn(chi_spec, s=dims, workers=fft_workers()))
+    return ScalarVolume(grid, irfft3(chi_spec, grid.dims))
 
 
 def gradient_energy_spectrum(grid: VolumeGrid) -> np.ndarray:
@@ -140,10 +132,9 @@ def l2_closedform(
     phase.grid.require_compatible(kernel.grid)
     d = kernel.half
     denom = d * d + cfg.lam * gradient_energy_spectrum(phase.grid)
-    dims = phase.grid.dims
-    spec = _fft.rfftn(phase.data, workers=fft_workers())
+    spec = rfft3(phase.data)
     spec *= d
     with np.errstate(divide="ignore", invalid="ignore"):
         chi_spec = spec / denom
     chi_spec = np.where(denom > 0, chi_spec, 0.0)
-    return ScalarVolume(phase.grid, _fft.irfftn(chi_spec, s=dims, workers=fft_workers()))
+    return ScalarVolume(phase.grid, irfft3(chi_spec, phase.grid.dims))

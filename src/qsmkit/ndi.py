@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as _fft
 
 from . import _accel
-from .core import OrientationDataset, ScalarVolume, fft_workers
-from .dipole import _apply_kernel, dipole_kernel
+from .core import OrientationDataset, ScalarVolume, irfft3, rfft3, spectral_apply
+from .dipole import dipole_kernel
 
 __all__ = ["NdiConfig", "NdiResult", "NdiDivergenceError", "ndi_cost", "ndi_gradient", "ndi_reconstruct"]
 
@@ -70,7 +69,7 @@ def _half_shape(dims):
 
 
 def _half_norm2(spec: np.ndarray, dims) -> float:
-    """||x||_2^2 of the real image behind an rfftn half-spectrum (Parseval).
+    """||x||_2^2 of the real image behind an rfft3 half-spectrum (Parseval).
 
     Bins on the self-conjugate z-planes appear once, all others stand for a
     conjugate pair and count twice.
@@ -84,40 +83,43 @@ def _half_norm2(spec: np.ndarray, dims) -> float:
     return total / (dims[0] * dims[1] * dims[2])
 
 
-def _prepared_arrays(dataset: OrientationDataset):
-    grid = dataset.grid
-    phases = [e.phase.data for e in dataset.entries]
-    w2 = [e.magnitude.data**2 for e in dataset.entries]
-    halves = [dipole_kernel(grid, e.orientation).half for e in dataset.entries]
-    return phases, w2, halves
+def _terms(dataset: OrientationDataset, normalize: bool = False):
+    """(phase, w^2, kernel half-spectrum) per orientation, in canonical order.
+
+    Entries are sorted by orientation, so sums over them do not depend on the
+    order of the dataset. normalize divides every magnitude by one global
+    maximum over in-mask voxels first, as the solver does.
+    """
+    entries = dataset.entries
+    w2 = _normalized_weights(dataset) if normalize else [e.magnitude.data**2 for e in entries]
+    order = sorted(range(len(entries)), key=lambda i: entries[i].orientation.b)
+    return [
+        (entries[i].phase.data, w2[i], dipole_kernel(dataset.grid, entries[i].orientation).half)
+        for i in order
+    ]
 
 
 def ndi_cost(chi: ScalarVolume, dataset: OrientationDataset) -> float:
     """Data-fidelity cost summed over orientations, 2*sum(w^2*(1-cos(D*chi-phi))).
 
-    Magnitudes are used as stored; ndi_reconstruct normalizes them before
-    calling this.
+    Magnitudes are used as stored, without the max normalization of
+    ndi_reconstruct, so this equals the solver's data term only when the
+    in-mask magnitude maximum is 1.
     """
     chi.grid.require_compatible(dataset.grid)
-    phases, w2, halves = _prepared_arrays(dataset)
-    dims = chi.grid.dims
     total = 0.0
-    for phi, weight, half in zip(phases, w2, halves):
-        field_r = _apply_kernel(chi.data, half, dims)
-        total += _accel.trig_cost(field_r, phi, weight)
+    for phi, w2, half in _terms(dataset):
+        total += _accel.trig_cost(spectral_apply(chi.data, half), phi, w2)
     return total
 
 
 def ndi_gradient(chi: ScalarVolume, dataset: OrientationDataset, lam: float = 0.0) -> ScalarVolume:
     """Analytic gradient 2*sum_r D_r^T W_r^2 sin(D_r chi - phi_r) + 2*lam*chi."""
     chi.grid.require_compatible(dataset.grid)
-    phases, w2, halves = _prepared_arrays(dataset)
-    dims = chi.grid.dims
-    grad_sum = np.zeros(dims)
-    for phi, weight, half in zip(phases, w2, halves):
-        field_r = _apply_kernel(chi.data, half, dims)
-        resid = _accel.weighted_sin_residual(field_r, phi, weight)
-        grad_sum += _apply_kernel(resid, half, dims)
+    grad_sum = np.zeros(chi.grid.dims)
+    for phi, w2, half in _terms(dataset):
+        resid = _accel.weighted_sin_residual(spectral_apply(chi.data, half), phi, w2)
+        grad_sum += spectral_apply(resid, half)
     return ScalarVolume(chi.grid, 2.0 * grad_sum + (2.0 * lam) * chi.data)
 
 
@@ -150,13 +152,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     """
     grid = dataset.grid
     dims = grid.dims
-    order = sorted(range(len(dataset.entries)), key=lambda i: dataset.entries[i].orientation.b)
-    entries = [dataset.entries[i] for i in order]
-
-    w2_all = _normalized_weights(dataset)
-    w2 = [w2_all[i] for i in order]
-    phases = [e.phase.data for e in entries]
-    halves = [dipole_kernel(grid, e.orientation).half for e in entries]
+    terms = _terms(dataset, normalize=True)
 
     track_nrmse = cfg.record_history and cfg.reference is not None
     if track_nrmse:
@@ -173,7 +169,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     # The iterate lives in k-space: the image-domain update
     #   chi <- chi - tau*(2*sum_r D_r^T s_r + 2*lam*chi)
     # transforms exactly into
-    #   chi_hat <- (1 - 2*tau*lam)*chi_hat - 2*tau*sum_r d_r*rfftn(s_r),
+    #   chi_hat <- (1 - 2*tau*lam)*chi_hat - 2*tau*sum_r d_r*rfft3(s_r),
     # which costs two FFTs per orientation per iteration instead of four.
     # Products are formed in place: the same operations on the same operands
     # as the expressions above, so the iterates keep their bits.
@@ -183,9 +179,6 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     cost_history: list[float] = []
     nrmse_history: list[float] = []
 
-    def image_of(spec):
-        return _fft.irfftn(spec, s=dims, workers=fft_workers())
-
     for t in range(cfg.max_iters):
         # overflow here is not an error condition: the guards below turn a
         # non-finite residual or cost into a diagnosable NdiDivergenceError,
@@ -194,19 +187,19 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
             if cfg.record_history:
                 cost_t = lam * _half_norm2(chi_hat, dims) if lam != 0.0 else 0.0
             update = None
-            for phi, weight, half in zip(phases, w2, halves):
-                field_r = image_of(np.multiply(chi_hat, half, out=spec))
+            for phi, w2, half in terms:
+                field_r = irfft3(np.multiply(chi_hat, half, out=spec), dims)
                 if cfg.record_history:
-                    resid, cost_r = _accel.residual_and_cost(field_r, phi, weight)
+                    resid, cost_r = _accel.residual_and_cost(field_r, phi, w2)
                     cost_t += cost_r
                 else:
-                    resid = _accel.weighted_sin_residual(field_r, phi, weight)
+                    resid = _accel.weighted_sin_residual(field_r, phi, w2)
                     # |w^2 sin| <= w^2, at most 1 in the mask after the max
                     # normalization, so the sum is non-finite only when some
                     # residual is: when the field itself has overflowed
                     if not np.isfinite(np.sum(resid)):
                         raise NdiDivergenceError(f"residual became non-finite at iteration {t}")
-                term = _fft.rfftn(resid, workers=fft_workers())
+                term = rfft3(resid)
                 term *= half
                 if update is None:
                     update = term
@@ -223,20 +216,23 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
             chi_hat -= update
 
         if track_nrmse:
-            xv = image_of(chi_hat)[inside]
+            xv = irfft3(chi_hat, dims)[inside]
             xv -= xv.mean()
             xv -= ref_centered
             # einsum, not np.linalg.norm: a threaded BLAS dot here would leave
             # a BLAS worker spinning on a core for the whole solve
             nrmse_history.append(float(np.sqrt(np.einsum("i,i->", xv, xv))) / ref_norm)
 
-    chi = image_of(chi_hat)
+    chi = irfft3(chi_hat, dims)
     if not np.all(np.isfinite(chi)):
         raise NdiDivergenceError(f"iterate became non-finite at iteration {cfg.max_iters}")
     if cfg.record_history:
-        final_cost = lam * float(np.sum(chi * chi))
-        for phi, weight, half in zip(phases, w2, halves):
-            final_cost += _accel.trig_cost(image_of(chi_hat * half), phi, weight)
+        with np.errstate(over="ignore", invalid="ignore"):
+            final_cost = lam * float(np.sum(chi * chi)) if lam != 0.0 else 0.0
+            for phi, w2, half in terms:
+                final_cost += _accel.trig_cost(irfft3(chi_hat * half, dims), phi, w2)
+        if not np.isfinite(final_cost):
+            raise NdiDivergenceError(f"cost became non-finite at iteration {cfg.max_iters}")
         cost_history.append(final_cost)
 
     return NdiResult(

@@ -10,15 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .core import (
     ScalarVolume,
     VolumeGrid,
-    fft_workers,
     frequency_axes,
+    irfft3,
     mask_erode,
     require_binary_mask,
+    rfft3,
+    spectral_apply,
     voxel_coords,
 )
 
@@ -49,12 +50,6 @@ def _laplacian_symbol(grid: VolumeGrid) -> np.ndarray:
     return -4.0 * np.pi**2 * k2
 
 
-def _rfilter(data: np.ndarray, symbol: np.ndarray, dims) -> np.ndarray:
-    spec = _fft.rfftn(data, workers=fft_workers())
-    spec *= symbol
-    return _fft.irfftn(spec, s=dims, workers=fft_workers())
-
-
 def laplacian_unwrap(wrapped: ScalarVolume, mask: ScalarVolume) -> ScalarVolume:
     """Unwrap phase via the sine/cosine Laplacian identity solved in k-space.
 
@@ -72,8 +67,8 @@ def laplacian_unwrap(wrapped: ScalarVolume, mask: ScalarVolume) -> ScalarVolume:
 
     sin_w = np.sin(wrapped.data)
     cos_w = np.cos(wrapped.data)
-    rhs = cos_w * _rfilter(sin_w, lap, grid.dims) - sin_w * _rfilter(cos_w, lap, grid.dims)
-    phi = _rfilter(rhs, inv_lap, grid.dims)
+    rhs = cos_w * spectral_apply(sin_w, lap) - sin_w * spectral_apply(cos_w, lap)
+    phi = spectral_apply(rhs, inv_lap)
 
     inside = mask.data > 0.5
     if np.any(inside):
@@ -97,7 +92,7 @@ def sphere_kernel_spectrum(grid: VolumeGrid, radius_mm: float) -> np.ndarray:
     ball /= total
     shifts = [-(n // 2) for n in grid.dims]
     ball = np.roll(ball, shifts, axis=(0, 1, 2))
-    return _fft.rfftn(ball, workers=fft_workers())
+    return rfft3(ball)
 
 
 def smv_filter(phase: ScalarVolume, mask: ScalarVolume, cfg: SmvConfig = SmvConfig()):
@@ -110,21 +105,15 @@ def smv_filter(phase: ScalarVolume, mask: ScalarVolume, cfg: SmvConfig = SmvConf
     phase.grid.require_compatible(mask.grid)
     require_binary_mask(mask)
     grid = phase.grid
-    dims = grid.dims
-
-    s = sphere_kernel_spectrum(grid, cfg.radius_mm)
-    high_pass = 1.0 - s
-
-    spec = _fft.rfftn(phase.data, workers=fft_workers())
-    spec *= high_pass
-    h = _fft.irfftn(spec, s=dims, workers=fft_workers())
+    high_pass = 1.0 - sphere_kernel_spectrum(grid, cfg.radius_mm)
+    h = spectral_apply(phase.data, high_pass)
 
     reliable = mask_erode(mask, cfg.radius_mm)
-    spec = _fft.rfftn(reliable.data * h, workers=fft_workers())
+    spec = rfft3(reliable.data * h)
     keep = np.abs(high_pass) > cfg.tsvd_threshold
     with np.errstate(divide="ignore", invalid="ignore"):
         deconvolved = spec / high_pass
     spec = np.where(keep, deconvolved, 0.0)
-    tissue = _fft.irfftn(spec, s=dims, workers=fft_workers())
+    tissue = irfft3(spec, grid.dims)
     tissue *= reliable.data
     return ScalarVolume(grid, tissue), reliable

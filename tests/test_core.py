@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsmkit import (
     Acquisition,
@@ -14,7 +16,9 @@ from qsmkit import (
     ifft3,
     mask_erode,
 )
-from qsmkit.core import fft_workers, frequency_axes
+from qsmkit.core import fft_workers, frequency_axes, rfft3, spectral_apply
+from qsmkit.dipole import dipole_kernel
+from qsmkit.ndi import _half_norm2
 
 from conftest import EZ, brute_erode, naive_dft3, naive_idft3, ones_volume, random_volume
 
@@ -254,3 +258,35 @@ def test_fft_workers_reads_qsm_threads(monkeypatch):
     monkeypatch.setenv("QSM_THREADS", "abc")
     with pytest.raises(ValueError, match="QSM_THREADS"):
         fft_workers()
+
+
+# ------------------------------------------------------- spectral core
+
+
+grids = st.builds(
+    VolumeGrid,
+    st.tuples(*[st.integers(2, 12)] * 3),
+    st.tuples(*[st.floats(0.5, 2.0)] * 3),
+)
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, direction=directions, seed=st.integers(0, 2**32 - 1))
+def test_spectral_apply_with_dipole_symbol_is_self_adjoint(grid, direction, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(grid.dims)
+    y = rng.standard_normal(grid.dims)
+    half = dipole_kernel(grid, Orientation.from_vector(direction)).half
+    lhs = float(np.sum(spectral_apply(x, half) * y))
+    rhs = float(np.sum(x * spectral_apply(y, half)))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_norm_is_parseval(grid, seed):
+    x = np.random.default_rng(seed).standard_normal(grid.dims)
+    assert _half_norm2(rfft3(x), grid.dims) == pytest.approx(float(np.sum(x * x)), rel=1e-12)

@@ -218,6 +218,31 @@ def test_divergence_guard_names_the_same_iteration_when_recording(monkeypatch):
             ndi_reconstruct(ds, cfg)
 
 
+def test_final_cost_finite_when_chi_squared_overflows(grid8):
+    # the last iterate is finite but its square overflows; with lam = 0 the
+    # final cost has no lam*||chi||^2 term, so the history stays finite
+    ds = _random_dataset(grid8, np.random.default_rng(0), n_orient=1)
+    bare = ndi_reconstruct(ds, NdiConfig(step_size=1e305, lam=0.0, max_iters=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ndi_reconstruct(
+            ds, NdiConfig(step_size=1e305, lam=0.0, max_iters=5, record_history=True)
+        )
+    assert np.all(np.isfinite(res.cost_history)) and len(res.cost_history) == 5
+    assert res.chi.data.tobytes() == bare.chi.data.tobytes()
+
+
+def test_non_finite_final_cost_names_the_last_iteration(grid8):
+    # one iteration: the cost of chi = 0 is finite, lam*||chi||^2 of the
+    # produced iterate is not
+    ds = _random_dataset(grid8, np.random.default_rng(0), n_orient=1)
+    cfg = NdiConfig(step_size=1e154, lam=0.001, max_iters=1, record_history=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NdiDivergenceError, match="iteration 1"):
+            ndi_reconstruct(ds, cfg)
+
+
 def _sphere_dataset_48(n_orient):
     g = VolumeGrid((48, 48, 48))
     xs, ys, zs = voxel_coords(g)
