@@ -1,15 +1,13 @@
 """Voxelwise hot kernels of the solver and the phantom rasterizer, in numpy.
 
 Output is bit-deterministic for fixed input: the residual kernels split only
-their elementwise work across threads, into chunks at fixed offsets, and sum
-once over the whole volume, so their values do not depend on the thread count.
+their elementwise work across threads, with the package's one splitter
+``core.for_slabs``, and sum once over the whole volume.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import fft_workers
+from .core import for_slabs
 
 # Read by the benchmark's machine facts; the kernels are numpy only.
 USING_NUMBA = False
@@ -25,39 +23,6 @@ def trig_cost(field, phase, w2):
     return float(np.sum(2.0 * w2 * (1.0 - np.cos(field - phase))))
 
 
-# Chunks start on multiples of this many voxels and hold at least this many.
-# On a 2-core x86 host, two threads took 1.03 ms on a 32^3 volume against
-# 0.89 ms for one, and 1.6 ms on 40^3 against 2.5 ms.
-_CHUNK = 1 << 15
-# One pool per process, made on first use: on the same host a pool made and
-# shut down per call cost 0.5-0.9 ms, a call into a standing pool 0.07 ms.
-_pool = None
-
-
-def _for_chunks(fn, n):
-    """Call fn(lo, hi) on contiguous chunks covering range(n), one per FFT worker.
-
-    Workers run under the caller's numpy floating-point error settings, which
-    threads do not inherit.
-    """
-    global _pool
-    workers = min(fft_workers(), n // _CHUNK)
-    if workers <= 1:
-        fn(0, n)
-        return
-    if _pool is None:
-        _pool = ThreadPoolExecutor(thread_name_prefix="qsmkit-accel")
-    err = np.geterr()
-
-    def run(lo, hi):
-        with np.errstate(**err):
-            fn(lo, hi)
-
-    bounds = [n * i // workers // _CHUNK * _CHUNK for i in range(workers)] + [n]
-    # list() waits for every chunk and re-raises the first failure
-    list(_pool.map(run, bounds[:-1], bounds[1:]))
-
-
 def _flat64(*volumes):
     return [np.ascontiguousarray(v, dtype=np.float64).reshape(-1) for v in volumes]
 
@@ -66,19 +31,19 @@ def weighted_sin_residual(field, phase, w2):
     """w2 * sin(field - phase), elementwise.
 
     The subtract, sin and multiply run in place on one thread per FFT worker,
-    over the chunks residual_and_cost uses, so the result is the same
+    over the slabs residual_and_cost uses, so the result is the same
     bits as the plain expression for every thread count.
     """
     resid = np.empty(np.shape(field))
     f, p, w = _flat64(field, phase, w2)
     r = resid.reshape(-1)
 
-    def chunk(lo, hi):
+    def slab(lo, hi):
         np.subtract(f[lo:hi], p[lo:hi], out=r[lo:hi])
         np.sin(r[lo:hi], out=r[lo:hi])
         r[lo:hi] *= w[lo:hi]
 
-    _for_chunks(chunk, f.size)
+    for_slabs(slab, f.size)
     return resid
 
 
@@ -86,7 +51,7 @@ def residual_and_cost(field, phase, w2):
     """One pass over the residual angle: returns (w2*sin(d), sum 2*w2*(1-cos(d))).
 
     The three volumes share one shape. The sin and cos run on one thread per
-    FFT worker (numpy releases the GIL), each over its own chunk and into
+    FFT worker (numpy releases the GIL), each over its own slab and into
     preallocated outputs; the cost terms are then summed once over the whole
     volume, so both results are the same bits for every thread count.
     """
@@ -95,7 +60,7 @@ def residual_and_cost(field, phase, w2):
     f, p, w = _flat64(field, phase, w2)
     r, c = resid.reshape(-1), terms.reshape(-1)
 
-    def chunk(lo, hi):
+    def slab(lo, hi):
         d = np.subtract(f[lo:hi], p[lo:hi])
         np.sin(d, out=r[lo:hi])
         r[lo:hi] *= w[lo:hi]
@@ -104,7 +69,7 @@ def residual_and_cost(field, phase, w2):
         np.multiply(2.0, w[lo:hi], out=c[lo:hi])
         c[lo:hi] *= d
 
-    _for_chunks(chunk, f.size)
+    for_slabs(slab, f.size)
     return resid, float(np.sum(terms))
 
 

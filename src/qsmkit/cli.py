@@ -215,13 +215,10 @@ def cmd_unwrap(args):
 
 def cmd_smv(args):
     cfg = _load_config(args.config)
+    smv_cfg = _solver_config(args, cfg, "smv", None)
     phase = _load_volume(_require(args, cfg, "phase"))
     mask = _load_volume(_require(args, cfg, "mask"))
     out = _require(args, cfg, "out")
-    smv_cfg = SmvConfig(
-        radius_mm=float(_opt(args, cfg, "smv_radius", 5.0)),
-        tsvd_threshold=float(_opt(args, cfg, "smv_threshold", 0.05)),
-    )
     tissue, reliable = smv_filter(phase, mask, smv_cfg)
     write_nifti(out, tissue)
     written = [out]
@@ -301,8 +298,13 @@ _ALGORITHMS = ("tkd", "cosmos", "l2", "ndi")
 
 
 def _solver_config(args, cfg, algo, reference):
-    """The config of algo from flags and config file; a bad value is a ConfigError."""
+    """The config of algo (or "smv") from flags and config file; a bad value is a ConfigError."""
     try:
+        if algo == "smv":
+            return SmvConfig(
+                radius_mm=float(_opt(args, cfg, "smv_radius", 5.0)),
+                tsvd_threshold=float(_opt(args, cfg, "smv_threshold", 0.05)),
+            )
         if algo == "tkd":
             return TkdConfig(delta=float(_opt(args, cfg, "tkd_delta", 0.2)))
         if algo == "l2":

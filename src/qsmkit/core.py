@@ -12,10 +12,16 @@ Conventions used throughout the package:
 * frequencies are physical, in cycles/mm, so anisotropic voxels produce
   correct dipole kernels,
 * physical voxel coordinates put the origin at voxel index ``dims // 2``.
+
+The passes off the FFT path (mask erosion, the SSIM filters, the unwrap and
+NDI trig) run in one contiguous slab per FFT worker through ``for_slabs``,
+each slab computed as the whole volume would be, so the bits do not depend
+on the thread count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 from dataclasses import dataclass
 
@@ -60,6 +66,38 @@ def fft_workers() -> int:
         return max(1, int(raw))
     except ValueError:
         raise ValueError(f"QSM_THREADS must be an integer (0 = auto), got {raw!r}") from None
+
+
+# A slab holds at least this many voxels, so threads start at twice it. On a
+# 2-core x86 host, two threads took 1.03 ms of trig on a 32^3 volume against
+# 0.89 ms for one, and 1.6 ms on 40^3 against 2.5 ms.
+_CHUNK = 1 << 15
+# One pool per process; it starts threads on first use. On the same host a
+# pool made and shut down per call cost 0.5-0.9 ms, a standing one 0.07 ms.
+_pool = concurrent.futures.ThreadPoolExecutor(thread_name_prefix="qsmkit")
+
+
+def for_slabs(fn, n, stride=1):
+    """Call fn(lo, hi) on contiguous slabs covering range(n), one per FFT worker.
+
+    Each item holds stride voxels; slabs start on multiples of the items in
+    _CHUNK voxels, so each holds at least that many. The first slab runs on the
+    caller, since allocations in pool threads grow per-thread malloc arenas; the
+    pool runs the rest under the caller's numpy error settings. fn calls only
+    numpy and scipy.ndimage: perfbench's tracer wraps qsmkit and scipy.fft
+    functions, and its span stack is not thread-safe.
+    """
+    grain = -(-_CHUNK // stride)
+    workers = max(1, min(fft_workers(), n // grain))
+    bounds = [n * i // workers // grain * grain for i in range(workers)] + [n]
+    rest = zip(bounds[1:-1], bounds[2:])
+    # one errstate per slab, made on the caller: an errstate is entered only once
+    futures = [_pool.submit(np.errstate(**np.geterr())(fn), lo, hi) for lo, hi in rest]
+    try:
+        fn(0, bounds[1])
+    finally:
+        for f in futures:
+            f.result()
 
 
 @dataclass(frozen=True)
@@ -296,10 +334,19 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
     """Erode a binary mask with a physical ball: a voxel survives iff every
     voxel center within radius_mm of it (volume boundary counts as 0) is 1."""
     require_binary_mask(mask)
-    if radius_mm < 0:
-        raise ValueError("erosion radius must be >= 0")
+    if not 0 <= radius_mm < np.inf:
+        raise ValueError(f"erosion radius must be finite and >= 0, got {radius_mm!r}")
     structure = ball_offsets(mask.grid.spacing, radius_mm)
     if structure.size == 1:
         return ScalarVolume(mask.grid, mask.data)
-    eroded = _ndimage.binary_erosion(mask.data > 0.5, structure=structure, border_value=0)
-    return ScalarVolume(mask.grid, eroded.astype(np.float64))
+    inside = mask.data > 0.5
+    eroded = np.empty(inside.shape)
+    nx, reach = inside.shape[0], structure.shape[0] // 2
+
+    def slab(lo, hi):  # reads a halo of the ball's reach, clipped at the faces
+        a, b = max(lo - reach, 0), min(hi + reach, nx)
+        part = _ndimage.binary_erosion(inside[a:b], structure=structure, border_value=0)
+        eroded[lo:hi] = part[lo - a : hi - a]
+
+    for_slabs(slab, nx, inside[0].size)
+    return ScalarVolume(mask.grid, eroded)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage as _ndimage
 
-from .core import OrientationDataset, ScalarVolume, require_binary_mask
+from .core import OrientationDataset, ScalarVolume, for_slabs, require_binary_mask
 from .dipole import dipole_kernel, forward_field
 
 __all__ = ["SsimConfig", "nrmse", "ssim3d", "data_consistency"]
@@ -53,7 +53,15 @@ def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
 def _local_mean(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     out = data
     for axis in range(3):
-        out = _ndimage.correlate1d(out, weights, axis=axis, mode="constant")
+        # lines along axis are filtered independently: slabs run across another
+        src, out = out, np.empty(data.shape)
+
+        def slab(lo, hi):
+            part = np.s_[lo:hi] if axis else np.s_[:, lo:hi]
+            _ndimage.correlate1d(src[part], weights, axis=axis, output=out[part], mode="constant")
+
+        across = 0 if axis else 1
+        for_slabs(slab, data.shape[across], data.size // data.shape[across])
     return out
 
 
@@ -92,16 +100,17 @@ def ssim3d(
 
     a = x.data
     b = ref.data
-    mu_a = _local_mean(a, weights)
-    mu_b = _local_mean(b, weights)
-    var_a = _local_mean(a * a, weights) - mu_a * mu_a
-    var_b = _local_mean(b * b, weights) - mu_b * mu_b
-    cov = _local_mean(a * b, weights) - mu_a * mu_b
+    # gathered at the valid voxels first: the same operations, fewer volumes alive
+    mu_a = _local_mean(a, weights)[valid]
+    mu_b = _local_mean(b, weights)[valid]
+    var_a = _local_mean(a * a, weights)[valid] - mu_a * mu_a
+    var_b = _local_mean(b * b, weights)[valid] - mu_b * mu_b
+    cov = _local_mean(a * b, weights)[valid] - mu_a * mu_b
 
     ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
         (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     )
-    return float(ssim_map[valid].mean())
+    return float(ssim_map.mean())
 
 
 def data_consistency(chi: ScalarVolume, dataset: OrientationDataset) -> float:

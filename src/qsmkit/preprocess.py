@@ -14,6 +14,7 @@ import numpy as np
 from .core import (
     ScalarVolume,
     VolumeGrid,
+    for_slabs,
     frequency_axes,
     irfft3,
     mask_erode,
@@ -34,8 +35,8 @@ class SmvConfig:
     tsvd_threshold: float = 0.05
 
     def __post_init__(self):
-        if self.radius_mm <= 0:
-            raise ValueError("SMV radius must be positive")
+        if not 0 < self.radius_mm < np.inf:
+            raise ValueError(f"SMV radius must be positive and finite, got {self.radius_mm!r}")
         if not 0.0 < self.tsvd_threshold < 1.0:
             raise ValueError("TSVD threshold must lie in (0, 1)")
 
@@ -65,8 +66,14 @@ def laplacian_unwrap(wrapped: ScalarVolume, mask: ScalarVolume) -> ScalarVolume:
     nonzero = lap != 0.0
     inv_lap[nonzero] = 1.0 / lap[nonzero]
 
-    sin_w = np.sin(wrapped.data)
-    cos_w = np.cos(wrapped.data)
+    sin_w, cos_w = np.empty(grid.dims), np.empty(grid.dims)
+    w, s, c = (v.reshape(-1) for v in (wrapped.data, sin_w, cos_w))
+
+    def slab(lo, hi):
+        np.sin(w[lo:hi], out=s[lo:hi])
+        np.cos(w[lo:hi], out=c[lo:hi])
+
+    for_slabs(slab, w.size)
     rhs = cos_w * spectral_apply(sin_w, lap) - sin_w * spectral_apply(cos_w, lap)
     phi = spectral_apply(rhs, inv_lap)
 

@@ -123,3 +123,10 @@ def grid16():
 @pytest.fixture
 def grid8():
     return VolumeGrid((8, 8, 8))
+
+
+@pytest.fixture(params=["1", "2"])
+def threads(request, monkeypatch):
+    """QSM_THREADS set to 1, then 2: the threaded passes must give the same bits."""
+    monkeypatch.setenv("QSM_THREADS", request.param)
+    return request.param

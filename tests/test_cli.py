@@ -364,6 +364,27 @@ def test_invalid_solver_option_exits_2(tmp_path, capsys, flags):
     assert flags[1] in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--smv-radius", "inf"),
+        ("--smv-radius", "nan"),
+        ("--smv-radius", "-1"),
+        ("--smv-radius", "0"),
+        ("--smv-threshold", "2"),
+    ],
+    ids=["radius-inf", "radius-nan", "radius-negative", "radius-0", "threshold-2"],
+)
+def test_invalid_smv_option_exits_2(tmp_path, capsys, flags):
+    _run_phantom(tmp_path, _phantom_config(tmp_path, dims=8, radius=2.0, mask_radius=3.5))
+    capsys.readouterr()
+    rc = main(["smv", "--phase", str(tmp_path / "chi.nii"), "--mask", str(tmp_path / "mask.nii"),
+               "--out", str(tmp_path / "tissue.nii"), *flags])
+    assert rc == 2
+    assert "smv options" in _one_line_error(capsys)
+    assert not (tmp_path / "tissue.nii").exists()
+
+
 def test_non_numeric_solver_option_in_config_exits_2(tmp_path, capsys):
     dataset = _small_dataset(tmp_path)
     capsys.readouterr()

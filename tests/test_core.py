@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from qsmkit import (
     Acquisition,
@@ -16,7 +17,8 @@ from qsmkit import (
     ifft3,
     mask_erode,
 )
-from qsmkit.core import fft_workers, frequency_axes, rfft3, spectral_apply
+from qsmkit import core
+from qsmkit.core import ball_offsets, fft_workers, frequency_axes, rfft3, spectral_apply
 from qsmkit.dipole import dipole_kernel
 from qsmkit.ndi import _half_norm2
 
@@ -250,6 +252,37 @@ def test_mask_erode_monotone_and_composition():
     composed = mask_erode(mask_erode(ScalarVolume(g, big), r2), r1).data
     bound = mask_erode(ScalarVolume(g, big), max(r1, r2)).data
     assert np.all(composed <= bound)
+
+
+@pytest.mark.parametrize("radius", [float("inf"), float("nan")])
+def test_mask_erode_rejects_non_finite_radius(grid8, radius):
+    with pytest.raises(ValueError, match="finite"):
+        mask_erode(ones_volume(grid8), radius)
+
+
+@pytest.mark.parametrize(
+    "dims, spacing, radius",
+    [((4, 128, 128), (1.0, 1.0, 1.0), 5.0), ((48, 47, 45), (0.8, 1.2, 1.0), 3.0)],
+    ids=["slabs-thinner-than-halo", "anisotropic-odd"],
+)
+def test_mask_erode_same_bits_for_every_thread_count(threads, dims, spacing, radius):
+    g = VolumeGrid(dims, spacing)
+    # large enough for the erosion to be split into x slabs
+    assert g.n_voxels >= 2 * core._CHUNK
+    rng = np.random.default_rng(31)
+    inside = np.ones(dims, dtype=bool)
+    inside[1:-1, 1:-1, 1:-1] = rng.random((dims[0] - 2, dims[1] - 2, dims[2] - 2)) > 0.002
+    got = mask_erode(ScalarVolume(g, inside.astype(float)), radius).data
+    want = ndimage.binary_erosion(inside, structure=ball_offsets(spacing, radius), border_value=0)
+    assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_mask_erode_threaded_vs_brute(threads):
+    g = VolumeGrid((32, 48, 48))
+    assert g.n_voxels >= 2 * core._CHUNK
+    mask = (np.random.default_rng(17).random(g.dims) > 0.05).astype(float)
+    got = mask_erode(ScalarVolume(g, mask), 1.6).data
+    assert np.array_equal(got, brute_erode(mask, g.spacing, 1.6))
 
 
 def test_fft_workers_reads_qsm_threads(monkeypatch):

@@ -18,6 +18,7 @@ from qsmkit import (
     ssim3d,
     tkd,
 )
+from qsmkit import core
 from qsmkit.core import voxel_coords
 
 from conftest import EZ, ones_volume, random_volume, rot_x
@@ -146,3 +147,19 @@ def test_tkd_beats_l2_on_data_consistency():
     assert data_consistency(tkd(phase, kernel, TkdConfig(0.2)), ds) < data_consistency(
         l2_closedform(phase, kernel, L2Config(0.1)), ds
     )
+
+
+@pytest.mark.parametrize(
+    "dims, spacing", [((64, 64, 64), (1.0, 1.0, 1.0)), ((48, 47, 45), (0.8, 1.2, 1.0))]
+)
+def test_ssim_same_bits_for_every_thread_count(threads, monkeypatch, dims, spacing):
+    g = VolumeGrid(dims, spacing)
+    # large enough for every filter pass to be split across two threads
+    assert g.n_voxels >= 2 * core._CHUNK
+    rng = np.random.default_rng(43)
+    x = random_volume(g, rng)
+    ref = ScalarVolume(g, x.data + 0.5 * rng.standard_normal(dims))
+    mask = ScalarVolume(g, (rng.random(dims) > 0.3).astype(float))
+    got = ssim3d(x, ref, mask)
+    monkeypatch.setenv("QSM_THREADS", "1")
+    assert np.float64(got).tobytes() == np.float64(ssim3d(x, ref, mask)).tobytes()

@@ -10,6 +10,7 @@ from qsmkit import (
     laplacian_unwrap,
     smv_filter,
 )
+from qsmkit import core
 from qsmkit.core import voxel_coords
 from qsmkit.preprocess import sphere_kernel_spectrum
 from qsmkit.simulate import wrap_phase
@@ -147,3 +148,38 @@ def test_smv_rejects_non_binary_mask():
     g = VolumeGrid((8, 8, 8))
     with pytest.raises(ValueError):
         smv_filter(ScalarVolume.zeros(g), ScalarVolume(g, np.full(g.dims, 0.5)))
+
+
+def _phase_and_mask(dims, spacing, seed):
+    g = VolumeGrid(dims, spacing)
+    rng = np.random.default_rng(seed)
+    mask = ScalarVolume(g, (_centered_r2(g) <= (0.4 * min(dims)) ** 2).astype(float))
+    return ScalarVolume(g, 6.0 * rng.standard_normal(dims)), mask
+
+
+@pytest.mark.parametrize(
+    "dims, spacing", [((64, 64, 64), (1.0, 1.0, 1.0)), ((48, 47, 45), (0.8, 1.2, 1.0))]
+)
+def test_unwrap_and_smv_same_bits_for_every_thread_count(threads, monkeypatch, dims, spacing):
+    phase, mask = _phase_and_mask(dims, spacing, 41)
+    # large enough for the trig and the erosion to be split across two threads
+    assert phase.data.size >= 2 * core._CHUNK
+    unwrapped = laplacian_unwrap(phase, mask)
+    tissue, reliable = smv_filter(unwrapped, mask, SmvConfig(3.0, 0.01))
+    monkeypatch.setenv("QSM_THREADS", "1")
+    assert unwrapped.data.tobytes() == laplacian_unwrap(phase, mask).data.tobytes()
+    want_tissue, want_reliable = smv_filter(unwrapped, mask, SmvConfig(3.0, 0.01))
+    assert tissue.data.tobytes() == want_tissue.data.tobytes()
+    assert reliable.data.tobytes() == want_reliable.data.tobytes()
+
+
+def test_unwrap_trig_keeps_the_callers_error_settings(threads):
+    # the last plane falls in the second slab, which a pool thread computes
+    # when two threads are allowed; it must raise there as on the caller
+    phase, mask = _phase_and_mask((48, 48, 48), (1.0, 1.0, 1.0), 42)
+    assert phase.data.size >= 2 * core._CHUNK
+    data = phase.data.copy()
+    data[-1] = np.inf
+    object.__setattr__(phase, "data", data)  # past the volume's finite check
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        laplacian_unwrap(phase, mask)
