@@ -68,6 +68,23 @@ def _require(args, cfg, name):
     return value
 
 
+def _number(kind, value, what):
+    """value as kind (float or int); a value that is not a number is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _member(cfg, key, kind, where="config"):
+    """cfg[key], or an empty kind when absent; a value of another JSON type is a ConfigError."""
+    value = cfg.get(key, kind())
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{where} {key!r} must be {name}, got {value!r}")
+    return value
+
+
 def _require_input(path):
     if not os.path.exists(path):
         raise ConfigError(f"input file not found: {path}")
@@ -84,20 +101,23 @@ def _parse_grid(cfg):
         raise ConfigError("config must define 'grid': {'dims': [...], 'spacing': [...]}")
     try:
         return VolumeGrid(tuple(grid_cfg["dims"]), tuple(grid_cfg.get("spacing", (1.0, 1.0, 1.0))))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config grid: {exc}") from exc
 
 
-def _parse_shape(entry, where):
+def _parse_shape(entry, where, chi=None):
+    """A Shape from its config entry; chi, when given, replaces the entry's."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: must be an object, got {entry!r}")
     try:
         return Shape(
             kind=entry["kind"],
             center=tuple(entry["center"]),
             size=tuple(np.atleast_1d(entry["size"])),
-            chi=float(entry.get("chi", 1.0)),
+            chi=float(entry.get("chi", 1.0) if chi is None else chi),
             axis=entry.get("axis", "z"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -128,28 +148,27 @@ def _parse_bvec(text, where) -> Orientation:
 def cmd_phantom(args):
     cfg = _load_config(args.config)
     grid = _parse_grid(cfg)
-    phantom_cfg = cfg.get("phantom", {})
+    phantom_cfg = _member(cfg, "phantom", dict)
     shapes = [
         _parse_shape(s, f"phantom.shapes[{i}]")
-        for i, s in enumerate(phantom_cfg.get("shapes", []))
+        for i, s in enumerate(_member(phantom_cfg, "shapes", list, "phantom"))
     ]
-    spec = PhantomSpec(shapes=tuple(shapes), background=float(phantom_cfg.get("background", 0.0)))
-    chi = make_phantom(grid, spec)
+    background = _number(float, phantom_cfg.get("background", 0.0), "phantom.background")
+    chi = make_phantom(grid, PhantomSpec(shapes=tuple(shapes), background=background))
 
-    mask_cfg = cfg.get("mask")
-    if mask_cfg is None:
+    if cfg.get("mask") is None:
         mask = ScalarVolume(grid, np.ones(grid.dims))
     else:
         mask_shapes = [
-            _parse_shape({**s, "chi": 1.0}, f"mask.shapes[{i}]")
-            for i, s in enumerate(mask_cfg.get("shapes", []))
+            _parse_shape(s, f"mask.shapes[{i}]", chi=1.0)
+            for i, s in enumerate(_member(_member(cfg, "mask", dict), "shapes", list, "mask"))
         ]
         mask = make_phantom(grid, PhantomSpec(shapes=tuple(mask_shapes), background=0.0))
 
-    inside_value = float(cfg.get("magnitude_inside", 1.0))
+    inside_value = _number(float, cfg.get("magnitude_inside", 1.0), "magnitude_inside")
     magnitude = ScalarVolume(grid, inside_value * mask.data)
 
-    outputs = cfg.get("outputs", {})
+    outputs = _member(cfg, "outputs", dict)
     out_chi = _opt(args, outputs, "out_chi", "chi.nii")
     out_magnitude = _opt(args, outputs, "out_magnitude", "magnitude.nii")
     out_mask = _opt(args, outputs, "out_mask", "mask.nii")
@@ -170,13 +189,14 @@ def cmd_simulate(args):
         orientations = [_parse_bvec(b, f"--bvec[{i}]") for i, b in enumerate(args.bvec)]
     elif "orientations" in cfg:
         orientations = [
-            _parse_orientation(v, f"orientations[{i}]") for i, v in enumerate(cfg["orientations"])
+            _parse_orientation(v, f"orientations[{i}]")
+            for i, v in enumerate(_member(cfg, "orientations", list))
         ]
     else:
         raise ConfigError("no orientations given (--bvec or config 'orientations')")
 
-    sigma = float(_opt(args, cfg, "sigma", 0.0))
-    seed = int(_opt(args, cfg, "seed", 0))
+    sigma = _number(float, _opt(args, cfg, "sigma", 0.0), "sigma")
+    seed = _number(int, _opt(args, cfg, "seed", 0), "seed")
     out_dir = _opt(args, cfg, "out_dir", ".")
     prefix = _opt(args, cfg, "prefix", "")
     os.makedirs(out_dir, exist_ok=True)
@@ -318,7 +338,7 @@ def _solver_config(args, cfg, algo, reference):
             record_history=bool(_opt(args, cfg, "history_out")),
             reference=reference,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{algo} options: {exc}") from exc
 
 
@@ -330,7 +350,7 @@ def cmd_invert(args):
     reference = _opt(args, cfg, "reference") if algo == "ndi" else None
     solver_cfg = _solver_config(args, cfg, algo, _load_volume(reference) if reference else None)
     mask = _load_volume(_require(args, cfg, "mask"))
-    phase_scale = float(_opt(args, cfg, "phase_scale", 1.0))
+    phase_scale = _number(float, _opt(args, cfg, "phase_scale", 1.0), "phase_scale")
     # NDI weights its data term by the masked magnitude and reads the phase as given
     dataset = _load_dataset(args, cfg, mask, phase_scale, mask_phase=algo != "ndi")
     out = _require(args, cfg, "out")
@@ -402,9 +422,9 @@ def cmd_slice(args):
     slice_to_pgm(
         volume,
         axis=_require(args, cfg, "axis"),
-        index=int(_require(args, cfg, "index")),
-        window_min=float(_require(args, cfg, "window_min")),
-        window_max=float(_require(args, cfg, "window_max")),
+        index=_number(int, _require(args, cfg, "index"), "index"),
+        window_min=_number(float, _require(args, cfg, "window_min"), "window_min"),
+        window_max=_number(float, _require(args, cfg, "window_max"), "window_max"),
         path=out,
     )
     print(f"wrote {out}")

@@ -17,6 +17,12 @@ The passes off the FFT path (mask erosion, the SSIM filters, the unwrap and
 NDI trig) run in one contiguous slab per FFT worker through ``for_slabs``,
 each slab computed as the whole volume would be, so the bits do not depend
 on the thread count.
+
+scipy is imported on first use, on the calling thread, so a CLI stage loads
+only the scipy modules it calls (``phantom`` needs neither ``scipy.fft`` nor
+``scipy.ndimage``). The transforms are called as ``scipy.fft`` attributes at
+call time, so a wrapper swapped onto that module (perfbench's tracer) sees
+every call.
 """
 
 from __future__ import annotations
@@ -26,8 +32,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
-from scipy import ndimage as _ndimage
 
 __all__ = [
     "GridMismatchError",
@@ -254,24 +258,32 @@ class OrientationDataset:
 
 def fft3(v) -> ComplexVolume:
     """Unnormalized forward 3D DFT; DC at linear index 0."""
-    spectrum = _fft.fftn(np.asarray(v.data, dtype=np.complex128), workers=fft_workers())
+    import scipy.fft
+
+    spectrum = scipy.fft.fftn(np.asarray(v.data, dtype=np.complex128), workers=fft_workers())
     return ComplexVolume(v.grid, spectrum)
 
 
 def ifft3(v: ComplexVolume) -> ComplexVolume:
     """Inverse 3D DFT with 1/(Nx*Ny*Nz) normalization."""
-    out = _fft.ifftn(np.asarray(v.data, dtype=np.complex128), workers=fft_workers())
+    import scipy.fft
+
+    out = scipy.fft.ifftn(np.asarray(v.data, dtype=np.complex128), workers=fft_workers())
     return ComplexVolume(v.grid, out)
 
 
 def rfft3(data: np.ndarray) -> np.ndarray:
     """Unnormalized forward 3D DFT of a real array, on the rfftn half-spectrum."""
-    return _fft.rfftn(data, workers=fft_workers())
+    import scipy.fft
+
+    return scipy.fft.rfftn(data, workers=fft_workers())
 
 
 def irfft3(spec: np.ndarray, dims) -> np.ndarray:
     """Real image of extents dims behind a half-spectrum, with the 1/N factor."""
-    return _fft.irfftn(spec, s=dims, workers=fft_workers())
+    import scipy.fft
+
+    return scipy.fft.irfftn(spec, s=dims, workers=fft_workers())
 
 
 def spectral_apply(data: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -336,17 +348,23 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
     require_binary_mask(mask)
     if not 0 <= radius_mm < np.inf:
         raise ValueError(f"erosion radius must be finite and >= 0, got {radius_mm!r}")
-    structure = ball_offsets(mask.grid.spacing, radius_mm)
+    grid = mask.grid
+    if any(np.floor(radius_mm / s) >= n for s, n in zip(grid.spacing, grid.dims)):
+        # every voxel's ball reaches past a face, so nothing survives; no stencil needed
+        return ScalarVolume(grid, np.zeros(grid.dims))
+    structure = ball_offsets(grid.spacing, radius_mm)
     if structure.size == 1:
-        return ScalarVolume(mask.grid, mask.data)
+        return ScalarVolume(grid, mask.data)
+    from scipy import ndimage  # on the caller: slabs on pool threads find it loaded
+
     inside = mask.data > 0.5
     eroded = np.empty(inside.shape)
     nx, reach = inside.shape[0], structure.shape[0] // 2
 
     def slab(lo, hi):  # reads a halo of the ball's reach, clipped at the faces
         a, b = max(lo - reach, 0), min(hi + reach, nx)
-        part = _ndimage.binary_erosion(inside[a:b], structure=structure, border_value=0)
+        part = ndimage.binary_erosion(inside[a:b], structure=structure, border_value=0)
         eroded[lo:hi] = part[lo - a : hi - a]
 
     for_slabs(slab, nx, inside[0].size)
-    return ScalarVolume(mask.grid, eroded)
+    return ScalarVolume(grid, eroded)

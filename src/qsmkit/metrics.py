@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage as _ndimage
 
 from .core import OrientationDataset, ScalarVolume, for_slabs, require_binary_mask
 from .dipole import dipole_kernel, forward_field
@@ -51,6 +50,8 @@ def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
 
 
 def _local_mean(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    from scipy import ndimage  # on the caller: slabs on pool threads find it loaded
+
     out = data
     for axis in range(3):
         # lines along axis are filtered independently: slabs run across another
@@ -58,7 +59,7 @@ def _local_mean(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
         def slab(lo, hi):
             part = np.s_[lo:hi] if axis else np.s_[:, lo:hi]
-            _ndimage.correlate1d(src[part], weights, axis=axis, output=out[part], mode="constant")
+            ndimage.correlate1d(src[part], weights, axis=axis, output=out[part], mode="constant")
 
         across = 0 if axis else 1
         for_slabs(slab, data.shape[across], data.size // data.shape[across])

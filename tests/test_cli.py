@@ -412,6 +412,64 @@ def test_malformed_sidecar_exits_2_naming_it(tmp_path, capsys, text, message):
     assert str(sidecar) in err and message in err
 
 
+_SLICE = ["slice", "--volume", "chi.nii", "--axis", "z", "--out", "slice.pgm"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "phantom": [1, 2]}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "mask": [1]}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "mask": {"shapes": [3]}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "outputs": ["out_chi"]}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "magnitude_inside": "high"}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "phantom": {"background": "none"}}'),
+        (["phantom"], '{"grid": {"dims": [1e400, 8, 8]}}'),
+        (["simulate"], '{"orientations": 5}'),
+        (["simulate"], '{"orientations": [[0, 0, 1]], "seed": 1e400}'),
+        (["simulate"], '{"orientations": [[0, 0, 1]], "seed": "one"}'),
+        (["simulate"], '{"orientations": [[0, 0, 1]], "sigma": "low"}'),
+        (["invert", "--algo", "tkd"], '{"phase_scale": "big"}'),
+        (["invert", "--algo", "ndi"], '{"ndi_iters": 1e400}'),
+        (_SLICE, '{"index": "mid", "window_min": 0, "window_max": 1}'),
+        (_SLICE, '{"index": 2, "window_min": "low", "window_max": 1}'),
+        (_SLICE, '{"index": 2, "window_min": 0, "window_max": [1]}'),
+    ],
+    ids=["phantom-list", "mask-list", "mask-shape-number", "outputs-list", "magnitude-inside-text",
+         "background-text", "grid-dim-overflow", "orientations-number", "seed-overflow",
+         "seed-text", "sigma-text", "phase-scale-text", "ndi-iters-overflow", "slice-index-text",
+         "slice-window-min-text", "slice-window-max-list"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, argv, config):
+    dataset = _small_dataset(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(config)
+    io_flags = {
+        "phantom": ["--out-chi", "new_chi.nii"],
+        "simulate": ["--chi", "chi.nii", "--magnitude", "mag.nii", "--mask", "mask.nii",
+                     "--out-dir", "new_sim"],
+        "invert": ["--dataset", str(dataset), "--mask", "mask.nii", "--out", "out.nii"],
+        "slice": [],
+    }[argv[0]]
+    capsys.readouterr()
+    assert main([*argv, *io_flags, "--config", "bad.json"]) == 2
+    err = _one_line_error(capsys)
+    assert "Traceback" not in err
+    assert not any((tmp_path / name).exists() for name in ("new_chi.nii", "new_sim", "out.nii", "slice.pgm"))
+
+
+def test_smv_radius_past_the_volume_erodes_everything(tmp_path, capsys):
+    _run_phantom(tmp_path, _phantom_config(tmp_path, dims=8, radius=2.0, mask_radius=3.5))
+    capsys.readouterr()
+    rc = main(["smv", "--phase", str(tmp_path / "chi.nii"), "--mask", str(tmp_path / "mask.nii"),
+               "--out", str(tmp_path / "tissue.nii"), "--reliable-mask-out",
+               str(tmp_path / "reliable.nii"), "--smv-radius", "1e9"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert not np.any(read_nifti(tmp_path / "reliable.nii").data)
+    assert not np.any(read_nifti(tmp_path / "tissue.nii").data)
+
+
 def test_malformed_qsm_threads_exits_2(tmp_path, capsys, monkeypatch):
     dataset = _small_dataset(tmp_path)
     capsys.readouterr()
@@ -430,6 +488,49 @@ def test_chi_beyond_float32_exits_1_without_writing(tmp_path, capsys):
     assert rc == 1
     assert "float32" in _one_line_error(capsys)
     assert not (tmp_path / "out.nii").exists()
+
+
+_SCIPY_LOADED = (
+    "import json, sys; "
+    "print(json.dumps([m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules]))"
+)
+
+
+def _scipy_modules_after(code, cwd):
+    """The scipy.fft and scipy.ndimage modules a fresh interpreter holds after running code."""
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{_SCIPY_LOADED}"], cwd=cwd,
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_cli_loads_no_scipy_module(tmp_path):
+    assert _scipy_modules_after("import qsmkit.cli", tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["phantom", "--config", "config.json", "--out-chi", "c.nii", "--out-magnitude", "m.nii",
+          "--out-mask", "k.nii"], []),
+        (["simulate", "--chi", "chi.nii", "--magnitude", "mag.nii", "--mask", "mask.nii",
+          "--bvec", "0,0,1", "--out-dir", "again"], ["scipy.fft"]),
+        (["unwrap", "--phase", "sim/phase_000.nii", "--mask", "mask.nii", "--out", "u.nii"],
+         ["scipy.fft"]),
+        (["invert", "--algo", "ndi", "--dataset", "sim/dataset.json", "--mask", "mask.nii",
+          "--out", "ndi.nii", "--ndi-iters", "3"], ["scipy.fft"]),
+        (["smv", "--phase", "sim/phase_000.nii", "--mask", "mask.nii", "--out", "s.nii",
+          "--smv-radius", "2"], ["scipy.fft", "scipy.ndimage"]),
+        (["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", "--out", "m.json"],
+         ["scipy.ndimage"]),
+    ],
+    ids=["phantom", "simulate", "unwrap", "invert-ndi", "smv", "metrics"],
+)
+def test_stage_loads_only_the_scipy_modules_it_calls(tmp_path, argv, loaded):
+    _small_dataset(tmp_path)
+    _write_config(tmp_path, _phantom_config(tmp_path, dims=8, radius=2.0, mask_radius=3.5))
+    code = f"from qsmkit.cli import main\nassert main({argv!r}) == 0"
+    assert _scipy_modules_after(code, tmp_path) == loaded
 
 
 def test_module_entrypoint_help():

@@ -285,6 +285,28 @@ def test_mask_erode_threaded_vs_brute(threads):
     assert np.array_equal(got, brute_erode(mask, g.spacing, 1.6))
 
 
+@pytest.mark.parametrize("radius", [1e9, 1e300])
+def test_mask_erode_radius_past_the_extent_gives_zeros(grid8, radius):
+    # the stencil would need (2 * radius + 1)^3 entries; the result needs none
+    got = mask_erode(ones_volume(grid8), radius).data
+    assert got.tobytes() == np.zeros(grid8.dims).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dims, spacing, radius",
+    [((8, 8, 8), (1.0, 1.0, 1.0), 7.99), ((6, 9, 12), (2.0, 1.0, 0.5), 5.99)],
+    ids=["cube", "anisotropic"],
+)
+def test_mask_erode_radius_just_under_the_extent_matches_binary_erosion(dims, spacing, radius):
+    g = VolumeGrid(dims, spacing)
+    reach = [int(np.floor(radius / s)) for s in spacing]
+    assert all(r < n for r, n in zip(reach, dims)) and min(n - r for r, n in zip(reach, dims)) == 1
+    inside = np.ones(dims, dtype=bool)
+    got = mask_erode(ScalarVolume(g, inside.astype(float)), radius).data
+    want = ndimage.binary_erosion(inside, structure=ball_offsets(spacing, radius), border_value=0)
+    assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
 def test_fft_workers_reads_qsm_threads(monkeypatch):
     monkeypatch.setenv("QSM_THREADS", "3")
     assert fft_workers() == 3

@@ -9,6 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from qsmkit import ScalarVolume, VolumeGrid, core
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -30,3 +34,18 @@ def test_machine_facts():
     facts = _load("workloads").machine_facts()
     assert facts["numba_active"] is False
     assert facts["fft_workers"] >= 1
+
+
+def test_tracer_sees_calls_through_deferred_scipy_imports():
+    # core imports scipy.fft on first use; the swapped scipy.fft attributes must still be called
+    tracer = _load("tracer").Tracer()
+    grid = VolumeGrid((8, 8, 8))
+    tracer.install()
+    try:
+        with tracer.window() as window:
+            core.irfft3(core.rfft3(np.ones(grid.dims)), grid.dims)
+            core.mask_erode(ScalarVolume(grid, np.ones(grid.dims)), 1.5)
+    finally:
+        tracer.uninstall()
+    assert window.metrics["core.fft.calls"] == 2
+    assert window.metrics["core.mask_erode.calls"] == 1
