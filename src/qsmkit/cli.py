@@ -1,16 +1,17 @@
 """Command-line pipeline: phantom -> simulate -> unwrap -> smv -> invert -> metrics -> slice.
 
 Every command is deterministic given its config (seeds included). Exit codes:
-0 success, 2 usage/config errors, 1 runtime failures. ``--config file.json``
-supplies defaults for any flag (flags win); structured inputs (grid, shapes,
-orientation lists) live in the config file. The environment variable
-QSM_THREADS caps internal parallelism (0 = auto).
+0 success, 2 usage/config errors, 1 runtime failures. Each option is declared
+once, in _COMMANDS, and ``--config file.json`` may set it under its flag's name
+with "_" for "-" (flags win); structured inputs (grid, shapes, orientation
+lists) live in the config file. QSM_THREADS caps internal parallelism (0 = auto).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,35 +46,56 @@ def _load_json_object(path, what):
     return value
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    return _load_json_object(path, "config")
-
-
-def _opt(args, cfg, name, default=None):
-    """Effective option value: flag wins, then config, then default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
-
-
-def _require(args, cfg, name):
-    value = _opt(args, cfg, name)
-    if value is None:
-        raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+def _text(value):
+    """A file name or word; a config must give it as a JSON string."""
+    if not isinstance(value, str):
+        raise argparse.ArgumentTypeError(f"expected a string, got {value!r}")
     return value
 
 
-def _number(kind, value, what):
-    """value as kind (float or int); a value that is not a number is a ConfigError."""
+def _finite(value):
+    """A finite float, from a flag's text or a config number."""
+    try:
+        if math.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
+
+
+def _converted(kind, value, what):
+    """value as kind (a flag type such as _finite); a value kind rejects is a ConfigError."""
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+
+
+_REQUIRED = object()  # the default of an option that must be given
+
+
+def _options(args, cfg):
+    """Set each of args.options from its flag, else from cfg through its type, else its default.
+
+    A value the type rejects, or a missing required option, is a ConfigError.
+    """
+    for key, kind, default, *_ in args.options:
+        if getattr(args, key) is not None:
+            continue
+        if key in cfg:
+            setattr(args, key, _converted(kind, cfg[key], f"config {key!r}"))
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+        else:
+            setattr(args, key, default)
+
+
+def _config(kind, what, **values):
+    """kind(**values); a value the config class rejects is a ConfigError naming what."""
+    try:
+        return kind(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{what} options: {exc}") from exc
 
 
 def _member(cfg, key, kind, where="config"):
@@ -85,14 +107,10 @@ def _member(cfg, key, kind, where="config"):
     return value
 
 
-def _require_input(path):
+def _load_volume(path) -> ScalarVolume:
     if not os.path.exists(path):
         raise ConfigError(f"input file not found: {path}")
-    return path
-
-
-def _load_volume(path) -> ScalarVolume:
-    return read_nifti(_require_input(path))
+    return read_nifti(path)
 
 
 def _parse_grid(cfg):
@@ -129,7 +147,7 @@ def _parse_orientation(vec, where) -> Orientation:
     if arr.shape != (3,):
         raise ConfigError(f"{where}: orientation needs 3 components, got {vec!r}")
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ConfigError(f"{where}: orientation must be unit-norm within 1e-6, |b|={norm}")
     return Orientation.from_vector(arr)
 
@@ -145,15 +163,14 @@ def _parse_bvec(text, where) -> Orientation:
 # ----------------------------------------------------------------- commands
 
 
-def cmd_phantom(args):
-    cfg = _load_config(args.config)
+def cmd_phantom(args, cfg):
     grid = _parse_grid(cfg)
     phantom_cfg = _member(cfg, "phantom", dict)
     shapes = [
         _parse_shape(s, f"phantom.shapes[{i}]")
         for i, s in enumerate(_member(phantom_cfg, "shapes", list, "phantom"))
     ]
-    background = _number(float, phantom_cfg.get("background", 0.0), "phantom.background")
+    background = _converted(_finite, phantom_cfg.get("background", 0.0), "phantom.background")
     chi = make_phantom(grid, PhantomSpec(shapes=tuple(shapes), background=background))
 
     if cfg.get("mask") is None:
@@ -165,25 +182,20 @@ def cmd_phantom(args):
         ]
         mask = make_phantom(grid, PhantomSpec(shapes=tuple(mask_shapes), background=0.0))
 
-    inside_value = _number(float, cfg.get("magnitude_inside", 1.0), "magnitude_inside")
+    inside_value = _converted(_finite, cfg.get("magnitude_inside", 1.0), "magnitude_inside")
     magnitude = ScalarVolume(grid, inside_value * mask.data)
 
-    outputs = _member(cfg, "outputs", dict)
-    out_chi = _opt(args, outputs, "out_chi", "chi.nii")
-    out_magnitude = _opt(args, outputs, "out_magnitude", "magnitude.nii")
-    out_mask = _opt(args, outputs, "out_mask", "mask.nii")
-    write_nifti(out_chi, chi)
-    write_nifti(out_magnitude, magnitude)
-    write_nifti(out_mask, mask)
-    print(f"wrote {out_chi}, {out_magnitude}, {out_mask}")
+    write_nifti(args.out_chi, chi)
+    write_nifti(args.out_magnitude, magnitude)
+    write_nifti(args.out_mask, mask)
+    print(f"wrote {args.out_chi}, {args.out_magnitude}, {args.out_mask}")
     return 0
 
 
-def cmd_simulate(args):
-    cfg = _load_config(args.config)
-    chi = _load_volume(_require(args, cfg, "chi"))
-    magnitude = _load_volume(_require(args, cfg, "magnitude"))
-    mask = _load_volume(_require(args, cfg, "mask"))
+def cmd_simulate(args, cfg):
+    chi = _load_volume(args.chi)
+    magnitude = _load_volume(args.magnitude)
+    mask = _load_volume(args.mask)
 
     if args.bvec:
         orientations = [_parse_bvec(b, f"--bvec[{i}]") for i, b in enumerate(args.bvec)]
@@ -195,27 +207,23 @@ def cmd_simulate(args):
     else:
         raise ConfigError("no orientations given (--bvec or config 'orientations')")
 
-    sigma = _number(float, _opt(args, cfg, "sigma", 0.0), "sigma")
-    seed = _number(int, _opt(args, cfg, "seed", 0), "seed")
-    out_dir = _opt(args, cfg, "out_dir", ".")
-    prefix = _opt(args, cfg, "prefix", "")
-    os.makedirs(out_dir, exist_ok=True)
+    noise = _config(NoiseSpec, "noise", sigma=args.sigma, seed=args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
+    dataset = simulate_acquisition(chi, magnitude, orientations, noise, mask=mask)
 
-    dataset = simulate_acquisition(chi, magnitude, orientations, NoiseSpec(sigma, seed), mask=mask)
-
-    mask_name = f"{prefix}mask.nii"
-    write_nifti(os.path.join(out_dir, mask_name), dataset.mask)
+    mask_name = f"{args.prefix}mask.nii"
+    write_nifti(os.path.join(args.out_dir, mask_name), dataset.mask)
     entries = []
     for r, entry in enumerate(dataset.entries):
-        phase_name = f"{prefix}phase_{r:03d}.nii"
-        mag_name = f"{prefix}magnitude_{r:03d}.nii"
-        write_nifti(os.path.join(out_dir, phase_name), entry.phase)
-        write_nifti(os.path.join(out_dir, mag_name), entry.magnitude)
+        phase_name = f"{args.prefix}phase_{r:03d}.nii"
+        mag_name = f"{args.prefix}magnitude_{r:03d}.nii"
+        write_nifti(os.path.join(args.out_dir, phase_name), entry.phase)
+        write_nifti(os.path.join(args.out_dir, mag_name), entry.magnitude)
         entries.append(
             {"phase": phase_name, "magnitude": mag_name, "orientation": list(entry.orientation.b)}
         )
-    sidecar = {"seed": seed, "sigma": sigma, "mask": mask_name, "entries": entries}
-    sidecar_path = os.path.join(out_dir, f"{prefix}dataset.json")
+    sidecar = {"seed": args.seed, "sigma": args.sigma, "mask": mask_name, "entries": entries}
+    sidecar_path = os.path.join(args.out_dir, f"{args.prefix}dataset.json")
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -223,29 +231,24 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_unwrap(args):
-    cfg = _load_config(args.config)
-    phase = _load_volume(_require(args, cfg, "phase"))
-    mask = _load_volume(_require(args, cfg, "mask"))
-    out = _require(args, cfg, "out")
-    write_nifti(out, laplacian_unwrap(phase, mask))
-    print(f"wrote {out}")
+def cmd_unwrap(args, cfg):
+    phase = _load_volume(args.phase)
+    mask = _load_volume(args.mask)
+    write_nifti(args.out, laplacian_unwrap(phase, mask))
+    print(f"wrote {args.out}")
     return 0
 
 
-def cmd_smv(args):
-    cfg = _load_config(args.config)
-    smv_cfg = _solver_config(args, cfg, "smv", None)
-    phase = _load_volume(_require(args, cfg, "phase"))
-    mask = _load_volume(_require(args, cfg, "mask"))
-    out = _require(args, cfg, "out")
+def cmd_smv(args, cfg):
+    smv_cfg = _config(SmvConfig, "smv", radius_mm=args.smv_radius, tsvd_threshold=args.smv_threshold)
+    phase = _load_volume(args.phase)
+    mask = _load_volume(args.mask)
     tissue, reliable = smv_filter(phase, mask, smv_cfg)
-    write_nifti(out, tissue)
-    written = [out]
-    reliable_out = _opt(args, cfg, "reliable_mask_out")
-    if reliable_out:
-        write_nifti(reliable_out, reliable)
-        written.append(reliable_out)
+    write_nifti(args.out, tissue)
+    written = [args.out]
+    if args.reliable_mask_out:
+        write_nifti(args.reliable_mask_out, reliable)
+        written.append(args.reliable_mask_out)
     print(f"wrote {', '.join(written)}")
     return 0
 
@@ -268,19 +271,16 @@ def _sidecar_entries(path):
     return entries
 
 
-def _load_dataset(
-    args, cfg, mask: ScalarVolume, phase_scale: float, mask_phase=False
-) -> OrientationDataset:
+def _load_dataset(args, mask: ScalarVolume, phase_scale: float, mask_phase=False) -> OrientationDataset:
     """Dataset from a sidecar JSON or from repeated --phase/--magnitude/--bvec.
 
     mask_phase zeroes the phase outside the mask, as the linear inversions need.
     """
-    sidecar_path = _opt(args, cfg, "dataset")
     entries = []
-    if sidecar_path is not None:
-        base = os.path.dirname(os.path.abspath(sidecar_path))
-        for i, item in enumerate(_sidecar_entries(sidecar_path)):
-            where = f"dataset {sidecar_path} entries[{i}]"
+    if args.dataset is not None:
+        base = os.path.dirname(os.path.abspath(args.dataset))
+        for i, item in enumerate(_sidecar_entries(args.dataset)):
+            where = f"dataset {args.dataset} entries[{i}]"
             phase = _load_volume(os.path.join(base, item["phase"]))
             magnitude = _load_volume(os.path.join(base, item["magnitude"]))
             entries.append((phase, magnitude, _parse_orientation(item["orientation"], where)))
@@ -314,46 +314,28 @@ def _load_dataset(
     return OrientationDataset(entries=tuple(acquisitions), mask=mask)
 
 
-_ALGORITHMS = ("tkd", "cosmos", "l2", "ndi")
+# each algorithm's config class, with the option that fills each of its fields
+_SOLVERS = {
+    "tkd": (TkdConfig, {"delta": "tkd_delta"}),
+    "cosmos": (CosmosConfig, {"eps": "cosmos_eps"}),
+    "l2": (L2Config, {"lam": "l2_lambda"}),
+    "ndi": (NdiConfig, {"step_size": "ndi_step", "lam": "ndi_lambda", "max_iters": "ndi_iters"}),
+}
 
 
-def _solver_config(args, cfg, algo, reference):
-    """The config of algo (or "smv") from flags and config file; a bad value is a ConfigError."""
-    try:
-        if algo == "smv":
-            return SmvConfig(
-                radius_mm=float(_opt(args, cfg, "smv_radius", 5.0)),
-                tsvd_threshold=float(_opt(args, cfg, "smv_threshold", 0.05)),
-            )
-        if algo == "tkd":
-            return TkdConfig(delta=float(_opt(args, cfg, "tkd_delta", 0.2)))
-        if algo == "l2":
-            return L2Config(lam=float(_opt(args, cfg, "l2_lambda", 0.01)))
-        if algo == "cosmos":
-            return CosmosConfig(eps=float(_opt(args, cfg, "cosmos_eps", 1e-6)))
-        return NdiConfig(
-            step_size=float(_opt(args, cfg, "ndi_step", 1.0)),
-            lam=float(_opt(args, cfg, "ndi_lambda", 0.001)),
-            max_iters=int(_opt(args, cfg, "ndi_iters", 400)),
-            record_history=bool(_opt(args, cfg, "history_out")),
-            reference=reference,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{algo} options: {exc}") from exc
-
-
-def cmd_invert(args):
-    cfg = _load_config(args.config)
-    algo = _require(args, cfg, "algo")
-    if algo not in _ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algo!r}, expected one of {', '.join(_ALGORITHMS)}")
-    reference = _opt(args, cfg, "reference") if algo == "ndi" else None
-    solver_cfg = _solver_config(args, cfg, algo, _load_volume(reference) if reference else None)
-    mask = _load_volume(_require(args, cfg, "mask"))
-    phase_scale = _number(float, _opt(args, cfg, "phase_scale", 1.0), "phase_scale")
+def cmd_invert(args, cfg):
+    algo = args.algo
+    if algo not in _SOLVERS:
+        raise ConfigError(f"unknown algorithm {algo!r}, expected one of {', '.join(_SOLVERS)}")
+    kind, fields = _SOLVERS[algo]
+    values = {name: getattr(args, key) for name, key in fields.items()}
+    if algo == "ndi":
+        reference = _load_volume(args.reference) if args.reference else None
+        values.update(record_history=bool(args.history_out), reference=reference)
+    solver_cfg = _config(kind, algo, **values)
+    mask = _load_volume(args.mask)
     # NDI weights its data term by the masked magnitude and reads the phase as given
-    dataset = _load_dataset(args, cfg, mask, phase_scale, mask_phase=algo != "ndi")
-    out = _require(args, cfg, "out")
+    dataset = _load_dataset(args, mask, args.phase_scale, mask_phase=algo != "ndi")
 
     if algo == "cosmos":
         result = ScalarVolume(dataset.grid, cosmos(dataset, solver_cfg).data * mask.data)
@@ -367,71 +349,112 @@ def cmd_invert(args):
     else:
         ndi_result = ndi_reconstruct(dataset, solver_cfg)
         result = ndi_result.chi
-        history_out = _opt(args, cfg, "history_out")
-        if history_out:
-            with open(history_out, "w") as fh:
-                if ndi_result.nrmse_history is not None:
-                    fh.write("iteration,cost,nrmse\n")
-                    rows = zip(ndi_result.cost_history, ndi_result.nrmse_history)
-                    for i, (c, e) in enumerate(rows, start=1):
-                        fh.write(f"{i},{c:.17g},{e:.17g}\n")
-                else:
-                    fh.write("iteration,cost\n")
-                    for i, c in enumerate(ndi_result.cost_history, start=1):
-                        fh.write(f"{i},{c:.17g}\n")
+        if args.history_out:
+            columns = {"cost": ndi_result.cost_history, "nrmse": ndi_result.nrmse_history}
+            columns = {name: column for name, column in columns.items() if column is not None}
+            with open(args.history_out, "w") as fh:
+                fh.write(",".join(["iteration", *columns]) + "\n")
+                for i, row in enumerate(zip(*columns.values()), start=1):
+                    fh.write(",".join([str(i), *(f"{v:.17g}" for v in row)]) + "\n")
 
-    write_nifti(out, result)
-    print(f"wrote {out}")
+    write_nifti(args.out, result)
+    print(f"wrote {args.out}")
     return 0
 
 
-def cmd_metrics(args):
-    cfg = _load_config(args.config)
-    x_path = _require(args, cfg, "x")
-    ref_path = _require(args, cfg, "ref")
-    mask_path = _require(args, cfg, "mask")
-    x = _load_volume(x_path)
-    ref = _load_volume(ref_path)
-    mask = _load_volume(mask_path)
+def cmd_metrics(args, cfg):
+    x = _load_volume(args.x)
+    ref = _load_volume(args.ref)
+    mask = _load_volume(args.mask)
 
     report = {
-        "x": x_path,
-        "ref": ref_path,
-        "mask": mask_path,
+        "x": args.x,
+        "ref": args.ref,
+        "mask": args.mask,
         "nrmse": nrmse(x, ref, mask),
         "ssim": ssim3d(x, ref, mask, SsimConfig()),
     }
-    if _opt(args, cfg, "dataset") is not None:
-        dataset = _load_dataset(args, cfg, mask, phase_scale=1.0)
+    if args.dataset is not None:
+        dataset = _load_dataset(args, mask, phase_scale=1.0)
         report["data_consistency"] = data_consistency(x, dataset)
 
     text = json.dumps(report, indent=2, sort_keys=True)
-    out = _opt(args, cfg, "out")
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
     return 0
 
 
-def cmd_slice(args):
-    cfg = _load_config(args.config)
-    volume = _load_volume(_require(args, cfg, "volume"))
-    out = _require(args, cfg, "out")
-    slice_to_pgm(
-        volume,
-        axis=_require(args, cfg, "axis"),
-        index=_number(int, _require(args, cfg, "index"), "index"),
-        window_min=_number(float, _require(args, cfg, "window_min"), "window_min"),
-        window_max=_number(float, _require(args, cfg, "window_max"), "window_max"),
-        path=out,
-    )
-    print(f"wrote {out}")
+def cmd_slice(args, cfg):
+    volume = _load_volume(args.volume)
+    slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max, path=args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
 # -------------------------------------------------------------------- main
+
+_DATA_FLAGS = ("--phase", "--magnitude", "--bvec")
+_PHASE_IN_OUT = [("phase", _text, _REQUIRED), ("mask", _text, _REQUIRED), ("out", _text, _REQUIRED)]
+
+# Each subcommand: its function, its help, its options and its repeatable
+# flags. An option is (config key, type, default[, help]); its flag is the key
+# with "-" for "_", and _options resolves it. Repeatable flags have no config key.
+_COMMANDS = {
+    "phantom": (cmd_phantom, "rasterize ground-truth chi, magnitude template, and mask", [
+        ("out_chi", _text, "chi.nii"),
+        ("out_magnitude", _text, "magnitude.nii"),
+        ("out_mask", _text, "mask.nii"),
+    ], {}),
+    "simulate": (cmd_simulate, "forward-simulate noisy multi-orientation phase data", [
+        ("chi", _text, _REQUIRED),
+        ("magnitude", _text, _REQUIRED),
+        ("mask", _text, _REQUIRED),
+        ("sigma", _finite, NoiseSpec.sigma),
+        ("seed", int, NoiseSpec.seed),
+        ("out_dir", _text, "."),
+        ("prefix", _text, ""),
+    ], {"--bvec": "B0 direction x,y,z (repeatable)"}),
+    "unwrap": (cmd_unwrap, "Laplacian phase unwrapping", _PHASE_IN_OUT, {}),
+    "smv": (cmd_smv, "SMV background-field removal", [
+        *_PHASE_IN_OUT,
+        ("reliable_mask_out", _text, None),
+        ("smv_radius", float, SmvConfig.radius_mm),
+        ("smv_threshold", float, SmvConfig.tsvd_threshold),
+    ], {}),
+    "invert": (cmd_invert, "dipole inversion (tkd | cosmos | l2 | ndi)", [
+        ("algo", _text, _REQUIRED),
+        ("dataset", _text, None, "sidecar JSON listing phase/magnitude/orientation entries"),
+        ("mask", _text, _REQUIRED),
+        ("out", _text, _REQUIRED),
+        ("phase_scale", _finite, 1.0, "multiply input phase (radians -> field units)"),
+        ("tkd_delta", float, TkdConfig.delta),
+        ("cosmos_eps", float, CosmosConfig.eps),
+        ("l2_lambda", float, L2Config.lam),
+        ("ndi_lambda", float, NdiConfig.lam, "Tikhonov fraction; 0.001 means 0.1 percent"),
+        ("ndi_iters", int, NdiConfig.max_iters),
+        ("ndi_step", float, NdiConfig.step_size),
+        ("history_out", _text, None, "CSV of iteration,cost[,nrmse]"),
+        ("reference", _text, None, "truth volume enabling the nrmse history column"),
+    ], dict.fromkeys(_DATA_FLAGS)),
+    "metrics": (cmd_metrics, "NRMSE/SSIM report, plus data consistency with --dataset", [
+        ("x", _text, _REQUIRED),
+        ("ref", _text, _REQUIRED),
+        ("mask", _text, _REQUIRED),
+        ("dataset", _text, None),
+        ("out", _text, None),
+    ], dict.fromkeys(_DATA_FLAGS, argparse.SUPPRESS)),
+    "slice": (cmd_slice, "export one slice as a binary PGM image", [
+        ("volume", _text, _REQUIRED),
+        ("axis", _text, _REQUIRED),
+        ("index", int, _REQUIRED),
+        ("window_min", _finite, _REQUIRED),
+        ("window_max", _finite, _REQUIRED),
+        ("out", _text, _REQUIRED),
+    ], {}),
+}
 
 
 def _build_parser():
@@ -442,77 +465,14 @@ def _build_parser():
         epilog="QSM_THREADS caps internal parallelism (0 = auto).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, options, repeated) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, options=options)
         p.add_argument("--config", help="JSON config merged with flags (flags win)")
-        return p
-
-    p = add("phantom", cmd_phantom, "rasterize ground-truth chi, magnitude template, and mask")
-    p.add_argument("--out-chi")
-    p.add_argument("--out-magnitude")
-    p.add_argument("--out-mask")
-
-    p = add("simulate", cmd_simulate, "forward-simulate noisy multi-orientation phase data")
-    p.add_argument("--chi")
-    p.add_argument("--magnitude")
-    p.add_argument("--mask")
-    p.add_argument("--bvec", action="append", help="B0 direction x,y,z (repeatable)")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir")
-    p.add_argument("--prefix")
-
-    p = add("unwrap", cmd_unwrap, "Laplacian phase unwrapping")
-    p.add_argument("--phase")
-    p.add_argument("--mask")
-    p.add_argument("--out")
-
-    p = add("smv", cmd_smv, "SMV background-field removal")
-    p.add_argument("--phase")
-    p.add_argument("--mask")
-    p.add_argument("--out")
-    p.add_argument("--reliable-mask-out")
-    p.add_argument("--smv-radius", type=float)
-    p.add_argument("--smv-threshold", type=float)
-
-    p = add("invert", cmd_invert, "dipole inversion (tkd | cosmos | l2 | ndi)")
-    p.add_argument("--algo")
-    p.add_argument("--dataset", help="sidecar JSON listing phase/magnitude/orientation entries")
-    p.add_argument("--phase", action="append")
-    p.add_argument("--magnitude", action="append")
-    p.add_argument("--bvec", action="append")
-    p.add_argument("--mask")
-    p.add_argument("--out")
-    p.add_argument("--phase-scale", type=float, help="multiply input phase (radians -> field units)")
-    p.add_argument("--tkd-delta", type=float)
-    p.add_argument("--cosmos-eps", type=float)
-    p.add_argument("--l2-lambda", type=float)
-    p.add_argument("--ndi-lambda", type=float, help="Tikhonov fraction; 0.001 means 0.1 percent")
-    p.add_argument("--ndi-iters", type=int)
-    p.add_argument("--ndi-step", type=float)
-    p.add_argument("--history-out", help="CSV of iteration,cost[,nrmse]")
-    p.add_argument("--reference", help="truth volume enabling the nrmse history column")
-
-    p = add("metrics", cmd_metrics, "NRMSE/SSIM report, plus data consistency with --dataset")
-    p.add_argument("--x")
-    p.add_argument("--ref")
-    p.add_argument("--mask")
-    p.add_argument("--dataset")
-    p.add_argument("--phase", action="append", help=argparse.SUPPRESS)
-    p.add_argument("--magnitude", action="append", help=argparse.SUPPRESS)
-    p.add_argument("--bvec", action="append", help=argparse.SUPPRESS)
-    p.add_argument("--out")
-
-    p = add("slice", cmd_slice, "export one slice as a binary PGM image")
-    p.add_argument("--volume")
-    p.add_argument("--axis")
-    p.add_argument("--index", type=int)
-    p.add_argument("--window-min", type=float)
-    p.add_argument("--window-max", type=float)
-    p.add_argument("--out")
-
+        for key, kind, _, *help_ in options:
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=help_[0] if help_ else None)
+        for flag, flag_help in repeated.items():
+            p.add_argument(flag, action="append", help=flag_help)
     return parser
 
 
@@ -529,7 +489,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_threads()
-        return args.func(args)
+        cfg = _load_json_object(args.config, "config") if args.config is not None else {}
+        # phantom's config holds its output names under "outputs"
+        _options(args, _member(cfg, "outputs", dict) if args.command == "phantom" else cfg)
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

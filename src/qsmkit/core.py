@@ -118,8 +118,8 @@ class VolumeGrid:
             raise ValueError("grid requires 3 extents and 3 spacings")
         if any(n < 1 for n in dims):
             raise ValueError(f"grid extents must be >= 1, got {dims}")
-        if any(s <= 0 for s in spacing):
-            raise ValueError(f"voxel spacing must be positive, got {spacing}")
+        if not all(0 < s < np.inf for s in spacing):
+            raise ValueError(f"voxel spacing must be positive and finite, got {spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
 
@@ -195,7 +195,7 @@ class Orientation:
         if len(b) != 3:
             raise ValueError("orientation requires 3 components")
         norm = float(np.sqrt(b[0] ** 2 + b[1] ** 2 + b[2] ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"orientation must be unit-norm within 1e-9, got |b|={norm!r}")
         object.__setattr__(self, "b", b)
 
@@ -204,7 +204,7 @@ class Orientation:
         """Normalize an arbitrary nonzero vector into an Orientation."""
         arr = np.asarray(v, dtype=np.float64)
         norm = float(np.linalg.norm(arr))
-        if arr.shape != (3,) or norm == 0.0:
+        if arr.shape != (3,) or not 0.0 < norm < np.inf:
             raise ValueError(f"cannot normalize {v!r} into a direction")
         return cls(tuple(arr / norm))
 

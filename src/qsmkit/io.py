@@ -9,6 +9,8 @@ the volume layout convention.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -57,7 +59,11 @@ def write_nifti(path, volume: ScalarVolume):
 
 
 def read_nifti(path) -> ScalarVolume:
-    """Read a volume written by write_nifti (or the supported subset of it)."""
+    """Read a volume written by write_nifti (or the supported subset of it).
+
+    Raises NiftiFormatError for any file outside that subset or inconsistent
+    with its header, non-finite samples included.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_SIZE)
         if len(header) < _HEADER_SIZE:
@@ -85,24 +91,33 @@ def read_nifti(path) -> ScalarVolume:
 
         dims = (dim[1], dim[2], dim[3])
         spacing = tuple(float(p) for p in pixdim[1:4])
-        if any(s <= 0 for s in spacing):
-            raise NiftiFormatError(f"{path}: non-positive pixdim spacing {spacing}")
-        grid = VolumeGrid(dims, spacing)
+        try:
+            grid = VolumeGrid(dims, spacing)
+        except ValueError as exc:  # a dim below 1, a spacing that is not positive and finite
+            raise NiftiFormatError(f"{path}: dim {dims}, pixdim {spacing}: {exc}") from exc
 
-        offset = int(round(vox_offset))
+        if not math.isfinite(vox_offset):
+            raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not finite")
+        offset = round(vox_offset)
         if offset < _HEADER_SIZE:
             raise NiftiFormatError(f"{path}: vox_offset {vox_offset} before end of header")
-        fh.seek(offset)
         dtype = _DTYPES[datatype]
-        raw = fh.read(grid.n_voxels * dtype.itemsize)
-        if len(raw) != grid.n_voxels * dtype.itemsize:
+        n_bytes = grid.n_voxels * dtype.itemsize
+        # checked before reading: a header may claim a volume far larger than memory
+        if offset + n_bytes > os.fstat(fh.fileno()).st_size:
             raise NiftiFormatError(f"{path}: truncated data section")
+        fh.seek(offset)
+        raw = fh.read(n_bytes)
 
     samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     if scl_slope not in (0.0, 1.0) or scl_inter != 0.0:
         slope = scl_slope if scl_slope != 0.0 else 1.0
-        samples = samples * slope + scl_inter
-    return ScalarVolume(grid, samples.reshape(dims, order="F"))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            samples = samples * slope + scl_inter
+    try:
+        return ScalarVolume(grid, samples.reshape(dims, order="F"))
+    except ValueError as exc:  # non-finite samples, stored or after scaling
+        raise NiftiFormatError(f"{path}: {exc}") from exc
 
 
 def write_pgm(path, pixels: np.ndarray):

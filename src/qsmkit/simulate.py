@@ -55,16 +55,19 @@ class Shape:
         size = tuple(float(s) for s in np.atleast_1d(self.size))
         if len(size) != expected:
             raise ValueError(f"{self.kind} needs {expected} size parameter(s), got {size}")
-        if any(s <= 0 for s in size):
-            raise ValueError(f"shape sizes must be positive, got {size}")
+        if not all(0 < s < np.inf for s in size):
+            raise ValueError(f"shape sizes must be positive and finite, got {size}")
         if self.axis not in _AXIS_INDEX:
             raise ValueError(f"cylinder axis must be x, y or z, got {self.axis!r}")
         center = tuple(float(c) for c in self.center)
         if len(center) != 3:
             raise ValueError("shape center requires 3 coordinates")
+        chi = float(self.chi)
+        if not np.all(np.isfinite([*center, chi])):
+            raise ValueError(f"shape center and chi must be finite, got {center} and {chi}")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "chi", float(self.chi))
+        object.__setattr__(self, "chi", chi)
 
 
 @dataclass(frozen=True)

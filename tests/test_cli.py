@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import qsmkit
+from qsmkit import cli
 from qsmkit.cli import main
 from qsmkit.io import read_nifti
 
@@ -191,23 +193,26 @@ def test_tkd_rejects_multiple_orientations(tmp_path, capsys):
 
 def test_non_unit_bvec_exits_2(tmp_path, capsys):
     _run_phantom(tmp_path)
-    rc = main(
-        [
-            "invert",
-            "--algo",
-            "tkd",
-            "--phase",
-            str(tmp_path / "chi.nii"),
-            "--bvec",
-            "0,0,2",
-            "--mask",
-            str(tmp_path / "mask.nii"),
-            "--out",
-            str(tmp_path / "o.nii"),
-        ]
-    )
-    assert rc == 2
-    assert "unit-norm" in capsys.readouterr().err
+    capsys.readouterr()
+    for bvec in ("0,0,2", "nan,0,1"):
+        rc = main(
+            [
+                "invert",
+                "--algo",
+                "tkd",
+                "--phase",
+                str(tmp_path / "chi.nii"),
+                "--bvec",
+                bvec,
+                "--mask",
+                str(tmp_path / "mask.nii"),
+                "--out",
+                str(tmp_path / "o.nii"),
+            ]
+        )
+        assert rc == 2, bvec
+        assert "unit-norm" in _one_line_error(capsys)
+        assert not (tmp_path / "o.nii").exists()
 
 
 def test_metrics_reports_json_with_mask_name(tmp_path, capsys):
@@ -434,25 +439,43 @@ _SLICE = ["slice", "--volume", "chi.nii", "--axis", "z", "--out", "slice.pgm"]
         (_SLICE, '{"index": "mid", "window_min": 0, "window_max": 1}'),
         (_SLICE, '{"index": 2, "window_min": "low", "window_max": 1}'),
         (_SLICE, '{"index": 2, "window_min": 0, "window_max": [1]}'),
+        (["simulate"], '{"orientations": [[0, 0, 1]], "out_dir": 5}'),
+        (["unwrap"], '{"out": ["x"]}'),
+        (["unwrap"], '{"out": 7}'),
+        (["slice", "--volume", "chi.nii", "--out", "slice.pgm"],
+         '{"axis": ["z"], "index": 2, "window_min": 0, "window_max": 1}'),
+        (["invert"], '{"algo": ["ndi"]}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "magnitude_inside": NaN}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "phantom": {"background": Infinity}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, '
+                      '"phantom": {"shapes": [{"kind": "sphere", "center": [NaN, 0, 0], "size": [2]}]}}'),
+        (["simulate"], '{"orientations": [[0, 0, 1]], "sigma": -1}'),
     ],
     ids=["phantom-list", "mask-list", "mask-shape-number", "outputs-list", "magnitude-inside-text",
          "background-text", "grid-dim-overflow", "orientations-number", "seed-overflow",
          "seed-text", "sigma-text", "phase-scale-text", "ndi-iters-overflow", "slice-index-text",
-         "slice-window-min-text", "slice-window-max-list"],
+         "slice-window-min-text", "slice-window-max-list", "out-dir-number", "unwrap-out-list",
+         "unwrap-out-number", "slice-axis-list", "algo-list", "magnitude-inside-nan",
+         "background-inf", "shape-center-nan", "sigma-negative"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, argv, config):
     dataset = _small_dataset(tmp_path)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(config)
-    io_flags = {
-        "phantom": ["--out-chi", "new_chi.nii"],
-        "simulate": ["--chi", "chi.nii", "--magnitude", "mag.nii", "--mask", "mask.nii",
-                     "--out-dir", "new_sim"],
-        "invert": ["--dataset", str(dataset), "--mask", "mask.nii", "--out", "out.nii"],
-        "slice": [],
+    io_options = {
+        "phantom": {"out_chi": "new_chi.nii"},
+        "simulate": {"chi": "chi.nii", "magnitude": "mag.nii", "mask": "mask.nii", "out_dir": "new_sim"},
+        "unwrap": {"phase": "chi.nii", "mask": "mask.nii", "out": "out.nii"},
+        "invert": {"dataset": str(dataset), "mask": "mask.nii", "out": "out.nii"},
+        "slice": {},
     }[argv[0]]
+    # a flag would win over the config value under test
+    io_flags = [arg for key, value in io_options.items() if key not in json.loads(config)
+                for arg in ("--" + key.replace("_", "-"), value)]
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main([*argv, *io_flags, "--config", "bad.json"]) == 2
+    assert sorted(tmp_path.rglob("*")) == before
     err = _one_line_error(capsys)
     assert "Traceback" not in err
     assert not any((tmp_path / name).exists() for name in ("new_chi.nii", "new_sim", "out.nii", "slice.pgm"))
@@ -558,3 +581,82 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_subcommand_help_lists_every_option(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key, *_ in cli._COMMANDS[command][2]:
+        assert "--" + key.replace("_", "-") in out
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """An 8^3 phantom and a one-orientation dataset, for configs to name by absolute path."""
+    root = tmp_path_factory.mktemp("inputs")
+    _small_dataset(root)
+    return root
+
+
+def _valid_config(command, algo, inputs):
+    """A config giving every option of command a valid value; outputs are relative names."""
+    volume, mask = str(inputs / "chi.nii"), str(inputs / "mask.nii")
+    return {
+        "phantom": {"out_chi": "c.nii", "out_magnitude": "m.nii", "out_mask": "k.nii"},
+        "simulate": {"chi": volume, "magnitude": str(inputs / "mag.nii"), "mask": mask,
+                     "sigma": 0.01, "seed": 3, "out_dir": "sim", "prefix": "p_",
+                     "orientations": [[0, 0, 1]]},
+        "unwrap": {"phase": str(inputs / "sim" / "phase_000.nii"), "mask": mask, "out": "u.nii"},
+        "smv": {"phase": volume, "mask": mask, "out": "t.nii", "reliable_mask_out": "r.nii",
+                "smv_radius": 2, "smv_threshold": 0.05},
+        "invert": {"algo": algo, "dataset": str(inputs / "sim" / "dataset.json"), "mask": mask,
+                   "out": "x.nii", "phase_scale": 1.0, "tkd_delta": 0.2, "cosmos_eps": 1e-6,
+                   "l2_lambda": 0.01, "ndi_lambda": 0.001, "ndi_iters": 3, "ndi_step": 1.0,
+                   "history_out": "h.csv", "reference": volume},
+        "metrics": {"x": volume, "ref": volume, "mask": mask,
+                    "dataset": str(inputs / "sim" / "dataset.json"), "out": "r.json"},
+        "slice": {"volume": volume, "axis": "z", "index": 4, "window_min": 0, "window_max": 0.1,
+                  "out": "s.pgm"},
+    }[command]
+
+
+def _run_config(command, cfg, workdir, monkeypatch):
+    """main([command, "--config", ...]) in workdir; phantom's options go under "outputs"."""
+    if command == "phantom":
+        cfg = {"grid": {"dims": [8, 8, 8]}, "outputs": cfg}
+    workdir.mkdir()
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(workdir)
+    return main([command, "--config", "cfg.json"])
+
+
+_OPTIONS = [(command, key) for command, row in cli._COMMANDS.items() for key, *_ in row[2]]
+
+
+@pytest.mark.parametrize("command, algo", [*((c, "ndi") for c in cli._COMMANDS if c != "invert"),
+                                           *(("invert", a) for a in cli._SOLVERS)])
+def test_valid_config_of_every_option_runs(tmp_path, inputs, capsys, monkeypatch, command, algo):
+    cfg = _valid_config(command, algo, inputs)
+    assert _run_config(command, cfg, tmp_path / "run", monkeypatch) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, key", _OPTIONS, ids=[f"{c}-{k}" for c, k in _OPTIONS])
+def test_option_of_the_wrong_json_type_exits_2(tmp_path, inputs, capsys, monkeypatch, command, key):
+    """Each option in turn, with every other option valid: no output, one error line."""
+    kind = next(row[1] for row in cli._COMMANDS[command][2] if row[0] == key)
+    # a value the option's type rejects, whichever JSON type the option wants
+    bad = [["x"], {"x": 1}, None, math.nan, math.inf, -math.inf]
+    bad.append(5 if kind is cli._text else "x")
+    prefix = key.split("_")[0]
+    algo = prefix if prefix in cli._SOLVERS else "ndi"
+    capsys.readouterr()
+    for i, value in enumerate(bad):
+        cfg = dict(_valid_config(command, algo, inputs), **{key: value})
+        workdir = tmp_path / str(i)
+        assert _run_config(command, cfg, workdir, monkeypatch) == 2, value
+        assert "Traceback" not in _one_line_error(capsys)
+        assert [p.name for p in workdir.iterdir()] == ["cfg.json"]

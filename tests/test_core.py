@@ -33,6 +33,9 @@ def test_grid_validation():
         VolumeGrid((0, 4, 4))
     with pytest.raises(ValueError):
         VolumeGrid((4, 4, 4), (1.0, 0.0, 1.0))
+    for spacing in [(1.0, np.nan, 1.0), (np.inf, 1.0, 1.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            VolumeGrid((4, 4, 4), spacing)
     with pytest.raises(ValueError):
         VolumeGrid((4, 4))
     g = VolumeGrid((4, 5, 6), (1.0, 0.5, 2.0))
@@ -72,6 +75,11 @@ def test_orientation_validation():
         Orientation.from_vector((0.0, 0.0, 0.0))
     o = Orientation.from_vector((3.0, 0.0, 4.0))
     assert o.b == (0.6, 0.0, 0.8)
+    for b in [(np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0), (0.0, np.nan, np.nan)]:
+        with pytest.raises(ValueError, match="unit-norm"):
+            Orientation(b)
+        with pytest.raises(ValueError, match="direction"):
+            Orientation.from_vector(b)
 
 
 def test_dataset_validation(grid8):

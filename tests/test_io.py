@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qsmkit import ScalarVolume, VolumeGrid
 from qsmkit.io import NiftiFormatError, read_nifti, slice_to_pgm, write_nifti
@@ -119,6 +121,69 @@ def test_reader_rejects_bad_spacing(tmp_path):
     _patch_header(path, 76, "<8f", 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(NiftiFormatError, match="pixdim"):
         read_nifti(path)
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, values, message",
+    [
+        (108, "<f", [float("inf")], "vox_offset"),
+        (108, "<f", [float("nan")], "vox_offset"),
+        (42, "<h", [0], "dim"),
+        (44, "<h", [-3], "dim"),
+        (80, "<f", [float("nan")], "pixdim"),
+        (84, "<f", [float("inf")], "pixdim"),
+        (112, "<f", [float("inf")], "finite"),
+        (112, "<f", [float("nan")], "finite"),
+        (116, "<f", [float("-inf")], "finite"),
+        (42, "<3h", [2**15 - 1] * 3, "truncated"),
+    ],
+    ids=["vox-offset-inf", "vox-offset-nan", "dim-0", "dim-negative", "pixdim-nan", "pixdim-inf",
+         "slope-inf", "slope-nan", "inter-inf", "dims-past-memory"],
+)
+def test_reader_rejects_bad_header_value(tmp_path, offset, fmt, values, message):
+    path, _ = _write_sample(tmp_path)
+    _patch_header(path, offset, fmt, *values)
+    with pytest.raises(NiftiFormatError, match=message):
+        read_nifti(path)
+
+
+def test_reader_rejects_non_finite_stored_sample(tmp_path):
+    path, _ = _write_sample(tmp_path)
+    _patch_header(path, 352 + 4 * 5, "<f", float("nan"))
+    with pytest.raises(NiftiFormatError, match="finite"):
+        read_nifti(path)
+
+
+def _field(offset, fmt, values):
+    return values.map(lambda v: (offset, fmt, v))
+
+
+_EXTENT = st.integers(-2, 12) | st.just(2**15 - 1)
+_FLOAT32 = st.floats(width=32)
+# one rewritten header field: (byte offset, struct format, values)
+_MUTATION = st.one_of(
+    _field(40, "<4h", st.tuples(st.sampled_from([3, 2, 4, 0, -1]), _EXTENT, _EXTENT, _EXTENT)),  # dim
+    _field(70, "<h", st.sampled_from([16, 64, 2, 4, 8, 512, 0, -1]).map(lambda v: [v])),  # datatype
+    _field(76, "<4f", st.tuples(_FLOAT32, _FLOAT32, _FLOAT32, _FLOAT32)),  # pixdim
+    _field(108, "<f", (_FLOAT32 | st.integers(340, 480).map(float)).map(lambda v: [v])),  # vox_offset
+    _field(112, "<2f", st.tuples(_FLOAT32, _FLOAT32)),  # scl_slope, scl_inter
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3), keep=st.none() | st.integers(0, 600))
+def test_mutated_header_gives_a_volume_or_nifti_format_error(tmp_path, mutations, keep):
+    path = tmp_path / "fuzz.nii"
+    write_nifti(path, ScalarVolume(VolumeGrid((3, 4, 5), (1.0, 0.7, 1.3)), np.arange(60.0)))
+    blob = bytearray(path.read_bytes())
+    for offset, fmt, values in mutations:
+        struct.pack_into(fmt, blob, offset, *values)
+    path.write_bytes(bytes(blob[:keep]))
+    try:
+        volume = read_nifti(path)
+    except NiftiFormatError:
+        return
+    assert np.all(np.isfinite(volume.data)) and all(0 < s < np.inf for s in volume.grid.spacing)
 
 
 # ------------------------------------------------------------------- PGM

@@ -78,6 +78,11 @@ def test_shape_validation():
         Shape("cuboid", (0, 0, 0), (1.0, 2.0), 0.1)
     with pytest.raises(ValueError):
         NoiseSpec(sigma=-0.1)
+    for center, size, chi in [((np.nan, 0, 0), (2.0,), 0.1), ((0, np.inf, 0), (2.0,), 0.1),
+                              ((0, 0, 0), (np.nan,), 0.1), ((0, 0, 0), (np.inf,), 0.1),
+                              ((0, 0, 0), (2.0,), np.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            Shape("sphere", center, size, chi)
 
 
 def _sphere_chi(g):
