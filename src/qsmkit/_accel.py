@@ -27,41 +27,50 @@ def _flat64(*volumes):
     return [np.ascontiguousarray(v, dtype=np.float64).reshape(-1) for v in volumes]
 
 
-def weighted_sin_residual(field, phase, w2):
-    """w2 * sin(field - phase), elementwise.
+def _scratch(field):
+    """field as a flat view, for a kernel that writes its result over it."""
+    if field.dtype != np.float64 or not field.flags.c_contiguous:
+        raise ValueError("field must be a C-contiguous float64 array: it is overwritten")
+    return field.reshape(-1)
 
-    The subtract, sin and multiply run in place on one thread per FFT worker,
-    over the slabs residual_and_cost uses, so the result is the same
-    bits as the plain expression for every thread count.
+
+def weighted_sin_residual(field, phase, w2):
+    """w2 * sin(field - phase), elementwise, written over field and returned.
+
+    field is scratch, such as an irfft3 output: the subtract, sin and
+    multiply run in place in it, on one thread per FFT worker, over the
+    slabs residual_and_cost uses, so the result is the same bits as the
+    plain expression for every thread count.
     """
-    resid = np.empty(np.shape(field))
-    f, p, w = _flat64(field, phase, w2)
-    r = resid.reshape(-1)
+    r = _scratch(field)
+    p, w = _flat64(phase, w2)
 
     def slab(lo, hi):
-        np.subtract(f[lo:hi], p[lo:hi], out=r[lo:hi])
+        np.subtract(r[lo:hi], p[lo:hi], out=r[lo:hi])
         np.sin(r[lo:hi], out=r[lo:hi])
         r[lo:hi] *= w[lo:hi]
 
-    for_slabs(slab, f.size)
-    return resid
+    for_slabs(slab, r.size)
+    return field
 
 
 def residual_and_cost(field, phase, w2):
     """One pass over the residual angle: returns (w2*sin(d), sum 2*w2*(1-cos(d))).
 
-    The three volumes share one shape. The sin and cos run on one thread per
-    FFT worker (numpy releases the GIL), each over its own slab and into
-    preallocated outputs; the cost terms are then summed once over the whole
-    volume, so both results are the same bits for every thread count.
+    The three volumes share one shape; the residual is written over field,
+    which is scratch as in weighted_sin_residual. The sin and cos run on one
+    thread per FFT worker (numpy releases the GIL), each over its own slab
+    and into preallocated outputs; the cost terms are then summed once over
+    the whole volume, so both results are the same bits for every thread
+    count.
     """
-    resid = np.empty(np.shape(field))
+    r = _scratch(field)
     terms = np.empty(np.shape(field))
-    f, p, w = _flat64(field, phase, w2)
-    r, c = resid.reshape(-1), terms.reshape(-1)
+    p, w = _flat64(phase, w2)
+    c = terms.reshape(-1)
 
     def slab(lo, hi):
-        d = np.subtract(f[lo:hi], p[lo:hi])
+        d = np.subtract(r[lo:hi], p[lo:hi])
         np.sin(d, out=r[lo:hi])
         r[lo:hi] *= w[lo:hi]
         np.cos(d, out=d)
@@ -69,8 +78,8 @@ def residual_and_cost(field, phase, w2):
         np.multiply(2.0, w[lo:hi], out=c[lo:hi])
         c[lo:hi] *= d
 
-    for_slabs(slab, f.size)
-    return resid, float(np.sum(terms))
+    for_slabs(slab, r.size)
+    return field, float(np.sum(terms))
 
 
 def rasterize_shapes(xs, ys, zs, kinds, centers, sizes, axes, chis, background):

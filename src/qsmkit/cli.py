@@ -63,6 +63,18 @@ def _finite(value):
     raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}")
 
 
+def _integer(value):
+    """An integer, from a flag's text or a config number with no fractional part."""
+    try:
+        if isinstance(value, str):
+            return int(value)
+        if (number := int(value)) == value:
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+
+
 def _converted(kind, value, what):
     """value as kind (a flag type such as _finite); a value kind rejects is a ConfigError."""
     try:
@@ -388,6 +400,8 @@ def cmd_metrics(args, cfg):
 
 
 def cmd_slice(args, cfg):
+    if args.axis not in ("x", "y", "z"):
+        raise ConfigError(f"axis must be x, y or z, got {args.axis!r}")
     volume = _load_volume(args.volume)
     slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max, path=args.out)
     print(f"wrote {args.out}")
@@ -413,7 +427,7 @@ _COMMANDS = {
         ("magnitude", _text, _REQUIRED),
         ("mask", _text, _REQUIRED),
         ("sigma", _finite, NoiseSpec.sigma),
-        ("seed", int, NoiseSpec.seed),
+        ("seed", _integer, NoiseSpec.seed),
         ("out_dir", _text, "."),
         ("prefix", _text, ""),
     ], {"--bvec": "B0 direction x,y,z (repeatable)"}),
@@ -434,7 +448,7 @@ _COMMANDS = {
         ("cosmos_eps", float, CosmosConfig.eps),
         ("l2_lambda", float, L2Config.lam),
         ("ndi_lambda", float, NdiConfig.lam, "Tikhonov fraction; 0.001 means 0.1 percent"),
-        ("ndi_iters", int, NdiConfig.max_iters),
+        ("ndi_iters", _integer, NdiConfig.max_iters),
         ("ndi_step", float, NdiConfig.step_size),
         ("history_out", _text, None, "CSV of iteration,cost[,nrmse]"),
         ("reference", _text, None, "truth volume enabling the nrmse history column"),
@@ -449,7 +463,7 @@ _COMMANDS = {
     "slice": (cmd_slice, "export one slice as a binary PGM image", [
         ("volume", _text, _REQUIRED),
         ("axis", _text, _REQUIRED),
-        ("index", int, _REQUIRED),
+        ("index", _integer, _REQUIRED),
         ("window_min", _finite, _REQUIRED),
         ("window_max", _finite, _REQUIRED),
         ("out", _text, _REQUIRED),
@@ -457,8 +471,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors reported as one "error: ..." line, exit 2.
+
+    Subparsers are made with the class of their parent, so they report alike.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsm",
         description="Susceptibility-mapping pipeline: phantoms, forward simulation, "
         "preprocessing, dipole inversion, metrics, and slice export.",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .core import OrientationDataset, ScalarVolume, irfft3, rfft3, spectral_apply
+from .core import OrientationDataset, ScalarVolume, for_slabs, irfft3, rfft3, spectral_apply
 from .dipole import dipole_kernel
 
 __all__ = ["NdiConfig", "NdiResult", "NdiDivergenceError", "ndi_cost", "ndi_gradient", "ndi_reconstruct"]
@@ -171,13 +171,36 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     # transforms exactly into
     #   chi_hat <- (1 - 2*tau*lam)*chi_hat - 2*tau*sum_r d_r*rfft3(s_r),
     # which costs two FFTs per orientation per iteration instead of four.
-    # Products are formed in place: the same operations on the same operands
-    # as the expressions above, so the iterates keep their bits.
+    # Between the FFTs, the half-spectrum work is one fused pass after each
+    # rfft3, run on the FFT workers over slabs of x-planes: it applies d_r to
+    # the transformed residual, adds it into update (the first orientation's
+    # term is update), and forms the next irfft3's input spec = chi_hat*d_r'
+    # for the next orientation r'. The last orientation's pass makes the
+    # update step before it forms the next iteration's spec = chi_hat*d_0.
+    # Products are formed in place, with the same operations on the same
+    # operands in the same order as the expressions above, so the iterates
+    # keep their bits for every thread count.
     chi_hat = np.zeros(_half_shape(dims), dtype=np.complex128)
-    spec = np.empty_like(chi_hat)
+    spec = np.multiply(chi_hat, terms[0][2])
     shrink = 1.0 - 2.0 * tau * lam
+    step = 2.0 * tau
+    planes, plane = chi_hat.shape[0], chi_hat[0].size
     cost_history: list[float] = []
     nrmse_history: list[float] = []
+
+    def fused_pass(term, half, update, next_half, last):
+        def slab(lo, hi):
+            s = slice(lo, hi)
+            np.multiply(term[s], half[s], out=term[s])
+            if update is not term:
+                np.add(update[s], term[s], out=update[s])
+            if last:
+                np.multiply(chi_hat[s], shrink, out=chi_hat[s])
+                np.multiply(update[s], step, out=update[s])
+                np.subtract(chi_hat[s], update[s], out=chi_hat[s])
+            np.multiply(chi_hat[s], next_half[s], out=spec[s])
+
+        for_slabs(slab, planes, plane)
 
     for t in range(cfg.max_iters):
         # overflow here is not an error condition: the guards below turn a
@@ -186,9 +209,8 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.record_history:
                 cost_t = lam * _half_norm2(chi_hat, dims) if lam != 0.0 else 0.0
-            update = None
-            for phi, w2, half in terms:
-                field_r = irfft3(np.multiply(chi_hat, half, out=spec), dims)
+            for r, (phi, w2, half) in enumerate(terms):
+                field_r = irfft3(spec, dims)
                 if cfg.record_history:
                     resid, cost_r = _accel.residual_and_cost(field_r, phi, w2)
                     cost_t += cost_r
@@ -200,20 +222,15 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
                     if not np.isfinite(np.sum(resid)):
                         raise NdiDivergenceError(f"residual became non-finite at iteration {t}")
                 term = rfft3(resid)
-                term *= half
-                if update is None:
+                if r == 0:
                     update = term
-                else:
-                    update += term
+                following = (r + 1) % len(terms)
+                fused_pass(term, half, update, terms[following][2], last=following == 0)
             if cfg.record_history:
                 if not np.isfinite(cost_t):
                     raise NdiDivergenceError(f"cost became non-finite at iteration {t}")
                 if t >= 1:
                     cost_history.append(cost_t)
-
-            chi_hat *= shrink
-            update *= 2.0 * tau
-            chi_hat -= update
 
         if track_nrmse:
             xv = irfft3(chi_hat, dims)[inside]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -660,3 +661,49 @@ def test_option_of_the_wrong_json_type_exits_2(tmp_path, inputs, capsys, monkeyp
         assert _run_config(command, cfg, workdir, monkeypatch) == 2, value
         assert "Traceback" not in _one_line_error(capsys)
         assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--volume", "v.nii", "--axis", "z", "--index", "2.7"],
+    ["slice", "--volume", "v.nii", "--window-min", "x"],
+    ["invert", "--algo", "ndi", "--ndi-iters", "abc"],
+    ["simulate", "--seed", "inf"],
+    ["no-such-command"],
+    [],
+])
+def test_refused_flag_value_is_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_slice_axis_is_checked_before_the_volume_is_read(tmp_path, capsys):
+    rc = main(["slice", "--volume", str(tmp_path / "missing.nii"), "--axis", "w", "--index", "0",
+               "--window-min", "0", "--window-max", "1", "--out", str(tmp_path / "s.pgm")])
+    assert rc == 2
+    assert "axis must be x, y or z" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key", ["seed", "ndi_iters", "index"])
+def test_integer_option_refuses_a_fractional_config_value(tmp_path, inputs, capsys, monkeypatch, key):
+    command = next(c for c, row in cli._COMMANDS.items() if key in [k for k, *_ in row[2]])
+    capsys.readouterr()
+    for i, value in enumerate([2.7, -0.5, 3.5]):
+        cfg = dict(_valid_config(command, "ndi", inputs), **{key: value})
+        assert _run_config(command, cfg, tmp_path / str(i), monkeypatch) == 2, value
+        assert "expected an integer" in _one_line_error(capsys)
+    # an integral value is the integer, given as a JSON integer or not
+    for i, value in enumerate([2, 2.0]):
+        cfg = dict(_valid_config(command, "ndi", inputs), **{key: value})
+        assert _run_config(command, cfg, tmp_path / f"ok{i}", monkeypatch) == 0, value
+
+
+def test_integer_type_agrees_for_flag_text_and_config_number():
+    assert cli._integer("2") == cli._integer(2) == cli._integer(2.0) == 2
+    for value in ("2.7", 2.7, math.nan, math.inf, "inf", "x", [2]):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._integer(value)

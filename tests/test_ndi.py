@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -22,7 +23,9 @@ from qsmkit import (
     simulate_acquisition,
     tkd,
 )
-from qsmkit.core import voxel_coords
+from qsmkit import core
+from qsmkit.core import irfft3, rfft3, voxel_coords
+from qsmkit.ndi import _half_norm2
 
 from conftest import EZ, ones_volume, random_volume, rot_x
 
@@ -317,3 +320,84 @@ def test_config_validation():
         NdiConfig(lam=-0.1)
     with pytest.raises(ValueError):
         NdiConfig(max_iters=0)
+
+
+def _per_orientation_solve(ds, cfg):
+    """The solver written as one k-space product, FFT pair and accumulation per
+    orientation, on whole arrays and one thread: the reference the fused slab
+    passes of ndi_reconstruct must match bit for bit.
+
+    Returns (chi, cost_history, nrmse_history), recording both histories.
+    """
+    dims = ds.grid.dims
+    inside = ds.mask.data > 0.5
+    gmax = max(float(e.magnitude.data[inside].max()) for e in ds.entries)
+    terms = [
+        (e.phase.data, (e.magnitude.data / gmax) ** 2, dipole_kernel(ds.grid, e.orientation).half)
+        for e in sorted(ds.entries, key=lambda e: e.orientation.b)
+    ]
+    ref = cfg.reference.data[inside]
+    ref = ref - ref.mean()
+    ref_norm = float(np.linalg.norm(ref))
+    tau, lam = cfg.step_size, cfg.lam
+    chi_hat = np.zeros((dims[0], dims[1], dims[2] // 2 + 1), dtype=np.complex128)
+    costs, nrmses = [], []
+    for t in range(cfg.max_iters):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = lam * _half_norm2(chi_hat, dims) if lam != 0.0 else 0.0
+            update = None
+            for phi, w2, half in terms:
+                d = irfft3(chi_hat * half, dims) - phi
+                cost += float(np.sum(2.0 * w2 * (1.0 - np.cos(d))))
+                term = rfft3(w2 * np.sin(d))
+                term *= half
+                if update is None:
+                    update = term
+                else:
+                    update += term
+            if t >= 1:
+                costs.append(cost)
+            chi_hat *= 1.0 - 2.0 * tau * lam
+            update *= 2.0 * tau
+            chi_hat -= update
+        xv = irfft3(chi_hat, dims)[inside]
+        xv -= xv.mean()
+        xv -= ref
+        nrmses.append(float(np.sqrt(np.einsum("i,i->", xv, xv))) / ref_norm)
+    chi = irfft3(chi_hat, dims)
+    final = lam * float(np.sum(chi * chi)) if lam != 0.0 else 0.0
+    for phi, w2, half in terms:
+        final += float(np.sum(2.0 * w2 * (1.0 - np.cos(irfft3(chi_hat * half, dims) - phi))))
+    return chi * ds.mask.data, costs + [final], nrmses
+
+
+@pytest.mark.parametrize("dims", [(33, 28, 21), (48, 48, 48)])
+@pytest.mark.parametrize("n_orient", [1, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.001])
+def test_solve_same_bits_as_per_orientation_loop(monkeypatch, dims, n_orient, lam):
+    # every thread count, slabs small enough for the half-spectrum passes to
+    # split as well as the voxelwise trig, and more workers than cores with
+    # a short switch interval, so that overlapping slabs would show
+    g = VolumeGrid(dims)
+    rng = np.random.default_rng(41)
+    ds = _random_dataset(g, rng, n_orient=n_orient, phase_scale=0.5)
+    xs, ys, zs = voxel_coords(g)
+    r2 = xs[:, None, None] ** 2 + ys[None, :, None] ** 2 + zs[None, None, :] ** 2
+    ds = OrientationDataset(entries=ds.entries, mask=ScalarVolume(g, (r2 <= 10.0**2).astype(float)))
+    reference = random_volume(g, rng, scale=0.1)
+    cfg = NdiConfig(lam=lam, max_iters=6, record_history=True, reference=reference)
+    chi, costs, nrmses = _per_orientation_solve(ds, cfg)
+    for threads, chunk in [("1", core._CHUNK), ("2", core._CHUNK), ("2", 1024), ("5", 256)]:
+        monkeypatch.setenv("QSM_THREADS", threads)
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            recording = ndi_reconstruct(ds, cfg)
+            bare = ndi_reconstruct(ds, NdiConfig(lam=lam, max_iters=6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert recording.chi.data.tobytes() == chi.tobytes()
+        assert bare.chi.data.tobytes() == chi.tobytes()
+        assert np.array(recording.cost_history).tobytes() == np.array(costs).tobytes()
+        assert np.array(recording.nrmse_history).tobytes() == np.array(nrmses).tobytes()
