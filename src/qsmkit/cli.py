@@ -39,7 +39,7 @@ def _load_json_object(path, what):
     with open(path) as fh:
         try:
             value = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
             raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
     if not isinstance(value, dict):
         raise ConfigError(f"{what} {path}: top level must be a JSON object")
@@ -75,10 +75,18 @@ def _integer(value):
     raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
 
 
+def _not_boolean(value):
+    """value, unless it is or holds a JSON true/false, which float() and int() read as 1/0."""
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        raise TypeError(f"true/false is not a valid value here, got {value!r}")
+    return value
+
+
 def _converted(kind, value, what):
-    """value as kind (a flag type such as _finite); a value kind rejects is a ConfigError."""
+    """value as kind (a flag type such as _finite); a value kind rejects, or a JSON
+    boolean, is a ConfigError."""
     try:
-        return kind(value)
+        return kind(_not_boolean(value))
     except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -130,7 +138,8 @@ def _parse_grid(cfg):
     if grid_cfg is None:
         raise ConfigError("config must define 'grid': {'dims': [...], 'spacing': [...]}")
     try:
-        return VolumeGrid(tuple(grid_cfg["dims"]), tuple(grid_cfg.get("spacing", (1.0, 1.0, 1.0))))
+        dims, spacing = grid_cfg["dims"], grid_cfg.get("spacing", (1.0, 1.0, 1.0))
+        return VolumeGrid(tuple(_not_boolean(dims)), tuple(_not_boolean(spacing)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config grid: {exc}") from exc
 
@@ -142,9 +151,9 @@ def _parse_shape(entry, where, chi=None):
     try:
         return Shape(
             kind=entry["kind"],
-            center=tuple(entry["center"]),
-            size=tuple(np.atleast_1d(entry["size"])),
-            chi=float(entry.get("chi", 1.0) if chi is None else chi),
+            center=tuple(_not_boolean(entry["center"])),
+            size=tuple(np.atleast_1d(_not_boolean(entry["size"]))),
+            chi=float(_not_boolean(entry.get("chi", 1.0)) if chi is None else chi),
             axis=entry.get("axis", "z"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -153,12 +162,13 @@ def _parse_shape(entry, where, chi=None):
 
 def _parse_orientation(vec, where) -> Orientation:
     try:
-        arr = np.asarray(vec, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(_not_boolean(vec), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: orientation must be 3 numbers, got {vec!r}") from exc
     if arr.shape != (3,):
         raise ConfigError(f"{where}: orientation needs 3 components, got {vec!r}")
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):  # a component past 1e154 gives inf, refused below
+        norm = float(np.linalg.norm(arr))
     if not abs(norm - 1.0) <= 1e-6:
         raise ConfigError(f"{where}: orientation must be unit-norm within 1e-6, |b|={norm}")
     return Orientation.from_vector(arr)
@@ -316,6 +326,9 @@ def _load_dataset(args, mask: ScalarVolume, phase_scale: float, mask_phase=False
 
     acquisitions = []
     for phase, magnitude, orientation in entries:
+        # the products below need the mask's grid: name the grids, not a failed broadcast
+        mask.grid.require_compatible(phase.grid)
+        mask.grid.require_compatible(magnitude.grid)
         if phase_scale != 1.0:
             phase = ScalarVolume(phase.grid, phase_scale * phase.data)
         if mask_phase:

@@ -13,16 +13,17 @@ Conventions used throughout the package:
   correct dipole kernels,
 * physical voxel coordinates put the origin at voxel index ``dims // 2``.
 
-The passes off the FFT path (mask erosion, the SSIM filters, the unwrap and
-NDI trig) run in one contiguous slab per FFT worker through ``for_slabs``,
-each slab computed as the whole volume would be, so the bits do not depend
-on the thread count.
+The passes off the FFT path (the SSIM filters, the unwrap and NDI trig) run
+in one contiguous slab per FFT worker through ``for_slabs``, each slab
+computed as the whole volume would be, so the bits do not depend on the
+thread count. Mask erosion is a short chain of boolean ANDs of shifted views
+on the caller (``mask_erode``), in numpy alone.
 
 scipy is imported on first use, on the calling thread, so a CLI stage loads
 only the scipy modules it calls (``phantom`` needs neither ``scipy.fft`` nor
-``scipy.ndimage``). The transforms are called as ``scipy.fft`` attributes at
-call time, so a wrapper swapped onto that module (perfbench's tracer) sees
-every call.
+``scipy.ndimage``, ``smv`` only ``scipy.fft``). The transforms are called as
+``scipy.fft`` attributes at call time, so a wrapper swapped onto that module
+(perfbench's tracer) sees every call.
 """
 
 from __future__ import annotations
@@ -342,9 +343,31 @@ def ball_offsets(spacing, radius_mm: float) -> np.ndarray:
     return dist2 <= radius_mm * radius_mm
 
 
+def _erode_step(a: np.ndarray, axis: int) -> np.ndarray:
+    """a eroded by the run of offsets [-1, 1] along axis; the border counts as 0."""
+    v = np.moveaxis(a, axis, 0)
+    pairs = v[1:] & v[:-1]
+    out = np.zeros_like(v)
+    np.logical_and(pairs[:-1], pairs[1:], out=out[1:-1])
+    return np.moveaxis(out, 0, axis)
+
+
 def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
     """Erode a binary mask with a physical ball: a voxel survives iff every
-    voxel center within radius_mm of it (volume boundary counts as 0) is 1."""
+    voxel center within radius_mm of it (volume boundary counts as 0) is 1.
+
+    The same bits as ``scipy.ndimage.binary_erosion(inside, ball_offsets(spacing,
+    radius_mm), border_value=0)``, from one-voxel steps along one axis at a
+    time. dist^2 is symmetric in each offset's sign and never decreases with
+    its size, so each (x, y) column of the ball is a z run [-h, h] (or empty),
+    the columns with h >= k in one x row form a y run [-g, g], and the x
+    offsets whose g reaches a given value an x run [-t, t]. So the ball is a
+    union of boxes [-t, t] x [-g, g] x [-k, k], and erosion by a union is the
+    AND of the erosions by its parts. A run [-n, n] is n steps and a step
+    distributes over AND, so with G_t the AND of the y-z erosions whose x run
+    is [-t, t], the result is G_0 & X(G_1 & X(G_2 & ...)), X an x step. Every
+    step ANDs shifted views of booleans, so nothing rounds.
+    """
     require_binary_mask(mask)
     if not 0 <= radius_mm < np.inf:
         raise ValueError(f"erosion radius must be finite and >= 0, got {radius_mm!r}")
@@ -355,16 +378,24 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
     structure = ball_offsets(grid.spacing, radius_mm)
     if structure.size == 1:
         return ScalarVolume(grid, mask.data)
-    from scipy import ndimage  # on the caller: slabs on pool threads find it loaded
-
-    inside = mask.data > 0.5
-    eroded = np.empty(inside.shape)
-    nx, reach = inside.shape[0], structure.shape[0] // 2
-
-    def slab(lo, hi):  # reads a halo of the ball's reach, clipped at the faces
-        a, b = max(lo - reach, 0), min(hi + reach, nx)
-        part = ndimage.binary_erosion(inside[a:b], structure=structure, border_value=0)
-        eroded[lo:hi] = part[lo - a : hi - a]
-
-    for_slabs(slab, nx, inside[0].size)
+    h = (np.count_nonzero(structure, axis=2) - 1) // 2  # z half-width per column, -1 if empty
+    groups = {}  # x half-width t -> G_t, the AND of the y-z erosions it applies to
+    ez = mask.data > 0.5
+    for k in range(h.max() + 1):
+        if k:
+            ez = _erode_step(ez, 2)
+        half_y = (np.count_nonzero(h >= k, axis=1) - 1) // 2  # y half-width per x offset
+        ey = ez
+        for g in range(half_y.max() + 1):
+            if g:
+                ey = _erode_step(ey, 1)
+            if g in half_y:
+                t = (np.count_nonzero(half_y >= g) - 1) // 2
+                groups[t] = groups[t] & ey if t in groups else ey
+    top = max(groups)
+    eroded = groups[top]
+    for t in range(top - 1, -1, -1):
+        eroded = _erode_step(eroded, 0)
+        if t in groups:
+            eroded = eroded & groups[t]
     return ScalarVolume(grid, eroded)

@@ -1,17 +1,23 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import qsmkit
 from qsmkit import cli
 from qsmkit.cli import main
-from qsmkit.io import read_nifti
+from qsmkit.core import ScalarVolume, VolumeGrid
+from qsmkit.io import read_nifti, write_nifti
 
 from conftest import child_env
 
@@ -405,9 +411,18 @@ def test_non_numeric_solver_option_in_config_exits_2(tmp_path, capsys):
         ('[{"phase": "phase_000.nii"}]', "top level must be a JSON object"),
         ('{"entries": [{"phase": "phase_000.nii", "orientation": [0, 0, 1]}]}', "'magnitude'"),
         ('{"entries": [', "invalid JSON"),
+        ('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON"),
+        ('{"entries": [{"phase": "phase_000.nii", "magnitude": "magnitude_000.nii", '
+         '"orientation": [false, false, true]}]}', "orientation must be 3 numbers"),
+        ('{"entries": [{"phase": "phase_000.nii", "magnitude": "magnitude_000.nii", '
+         '"orientation": [0, 0, 1' + "0" * 400 + "]}]}", "orientation must be 3 numbers"),
+        ('{"entries": [{"phase": "phase_000.nii", "magnitude": "magnitude_000.nii", '
+         '"orientation": [1e300, 1e300, 0]}]}', "unit-norm"),
     ],
-    ids=["top-level-list", "entry-missing-magnitude", "invalid-json"],
+    ids=["top-level-list", "entry-missing-magnitude", "invalid-json", "nested-too-deep",
+         "orientation-booleans", "orientation-overflow", "orientation-norm-overflow"],
 )
+@pytest.mark.filterwarnings("error")  # a warning would print lines of its own on the CLI's stderr
 def test_malformed_sidecar_exits_2_naming_it(tmp_path, capsys, text, message):
     dataset = _small_dataset(tmp_path)
     sidecar = dataset.parent / "broken.json"
@@ -416,6 +431,89 @@ def test_malformed_sidecar_exits_2_naming_it(tmp_path, capsys, text, message):
     assert _invert(tmp_path, sidecar, "--algo", "tkd") == 2
     err = _one_line_error(capsys)
     assert str(sidecar) in err and message in err
+
+
+@pytest.fixture(scope="module")
+def sidecar_dir(tmp_path_factory):
+    """An 8^3 dataset plus volumes a sidecar may wrongly name: another grid, a
+    negative magnitude, a file that is not NIfTI."""
+    root = tmp_path_factory.mktemp("sidecars")
+    sim = _small_dataset(root).parent
+    write_nifti(sim / "other_grid.nii", ScalarVolume.zeros(VolumeGrid((6, 6, 6))))
+    write_nifti(sim / "negative.nii", ScalarVolume.full(VolumeGrid((8, 8, 8)), -1.0))
+    (sim / "text.nii").write_text("not a volume\n")
+    return sim
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_BAD_FILE_NAME = st.sampled_from(["other_grid.nii", "negative.nii", "text.nii", "missing.nii",
+                                  "", ".", "dataset.json"])
+_BAD_ORIENTATION = (
+    st.sampled_from([[0, 0, 2], [0, 0, 0], [0, 0, 1, 0], [[0, 0, 1]], "0,0,1", [1e300, 1e300, 0]])
+    | st.lists(st.integers() | st.integers(10**300, 10**400) | st.floats() | st.booleans(),
+               min_size=3, max_size=3)
+)
+
+
+@st.composite
+def _sidecars(draw):
+    """Mostly a valid sidecar with up to two entry values dropped or swapped for
+    bad ones; else any JSON as the sidecar or as its entries."""
+    form = draw(st.sampled_from(["near-valid"] * 3 + ["any-entries", "any"]))
+    if form == "any":
+        return draw(_ANY_JSON)
+    if form == "any-entries":
+        return {"entries": draw(_ANY_JSON)}
+    entries = [{"phase": "phase_000.nii", "magnitude": "magnitude_000.nii", "orientation": b}
+               for b in ([0, 0, 1], [0, 0.6, 0.8], [1.0, 0.0, 0.0])[: draw(st.integers(1, 3))]]
+    for _ in range(draw(st.integers(0, 2))):
+        entry = draw(st.sampled_from(entries))
+        key = draw(st.sampled_from(sorted(entry)))
+        bad = _BAD_ORIENTATION if key == "orientation" else _BAD_FILE_NAME
+        value = draw(st.none() | bad | _ANY_JSON)
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+    return {"entries": entries, **draw(st.dictionaries(st.sampled_from(["mask", "seed"]), _ANY_JSON))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sidecar=_sidecars(), algo=st.sampled_from(["tkd", "cosmos", "ndi"]),
+       mask=st.sampled_from(["mask.nii", "mask.nii", "other_grid.nii", "negative.nii"]))  # valid: 1/2
+def test_fuzzed_sidecar_exits_0_1_or_2_with_one_error_line(sidecar_dir, sidecar, algo, mask):
+    path = sidecar_dir / "fuzz.json"
+    path.write_text(json.dumps(sidecar))
+    out, err = io.StringIO(), io.StringIO()
+    # a warning would print lines of its own on the CLI's stderr
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["invert", "--algo", algo, "--dataset", str(path), "--mask", str(sidecar_dir / mask),
+                   "--out", str(sidecar_dir / "fuzz_out.nii"), "--ndi-iters", "2"])
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2)
+    message = err.getvalue()
+    if rc == 0:
+        assert message == ""
+    else:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+        assert "Traceback" not in message
+
+
+def test_sidecar_volume_on_another_grid_exits_1_naming_the_grids(sidecar_dir, capsys):
+    sidecar = sidecar_dir / "other_grid.json"
+    sidecar.write_text(json.dumps({"entries": [
+        {"phase": "other_grid.nii", "magnitude": "magnitude_000.nii", "orientation": [0, 0, 1]}]}))
+    capsys.readouterr()
+    rc = main(["invert", "--algo", "tkd", "--dataset", str(sidecar), "--mask",
+               str(sidecar_dir / "mask.nii"), "--out", str(sidecar_dir / "other_grid_out.nii")])
+    assert rc == 1
+    assert "grids differ" in _one_line_error(capsys)
 
 
 _SLICE = ["slice", "--volume", "chi.nii", "--axis", "z", "--out", "slice.pgm"]
@@ -451,13 +549,30 @@ _SLICE = ["slice", "--volume", "chi.nii", "--axis", "z", "--out", "slice.pgm"]
         (["phantom"], '{"grid": {"dims": [8, 8, 8]}, '
                       '"phantom": {"shapes": [{"kind": "sphere", "center": [NaN, 0, 0], "size": [2]}]}}'),
         (["simulate"], '{"orientations": [[0, 0, 1]], "sigma": -1}'),
+        (["phantom"], '{"grid": {"dims": [8, true, 8]}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8], "spacing": [1, 1, true]}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "magnitude_inside": true}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, "phantom": {"background": false}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, '
+                      '"phantom": {"shapes": [{"kind": "sphere", "center": [true, 0, 0], "size": [2]}]}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, '
+                      '"phantom": {"shapes": [{"kind": "sphere", "center": [0, 0, 0], "size": true}]}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, '
+                      '"phantom": {"shapes": [{"kind": "sphere", "center": [0, 0, 0], "size": [2], '
+                      '"chi": true}]}}'),
+        (["simulate"], '{"orientations": [[false, false, true]]}'),
+        (["simulate"], '{"orientations": [[0, 0, 1]], "seed": true}'),
+        (["invert", "--algo", "ndi"], '{"ndi_lambda": true}'),
     ],
     ids=["phantom-list", "mask-list", "mask-shape-number", "outputs-list", "magnitude-inside-text",
          "background-text", "grid-dim-overflow", "orientations-number", "seed-overflow",
          "seed-text", "sigma-text", "phase-scale-text", "ndi-iters-overflow", "slice-index-text",
          "slice-window-min-text", "slice-window-max-list", "out-dir-number", "unwrap-out-list",
          "unwrap-out-number", "slice-axis-list", "algo-list", "magnitude-inside-nan",
-         "background-inf", "shape-center-nan", "sigma-negative"],
+         "background-inf", "shape-center-nan", "sigma-negative", "grid-dim-boolean",
+         "grid-spacing-boolean", "magnitude-inside-boolean", "background-boolean",
+         "shape-center-boolean", "shape-size-boolean", "shape-chi-boolean",
+         "orientation-booleans", "seed-boolean", "ndi-lambda-boolean"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, argv, config):
     dataset = _small_dataset(tmp_path)
@@ -544,7 +659,7 @@ def test_import_cli_loads_no_scipy_module(tmp_path):
         (["invert", "--algo", "ndi", "--dataset", "sim/dataset.json", "--mask", "mask.nii",
           "--out", "ndi.nii", "--ndi-iters", "3"], ["scipy.fft"]),
         (["smv", "--phase", "sim/phase_000.nii", "--mask", "mask.nii", "--out", "s.nii",
-          "--smv-radius", "2"], ["scipy.fft", "scipy.ndimage"]),
+          "--smv-radius", "2"], ["scipy.fft"]),
         (["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", "--out", "m.json"],
          ["scipy.ndimage"]),
     ],
@@ -650,7 +765,7 @@ def test_option_of_the_wrong_json_type_exits_2(tmp_path, inputs, capsys, monkeyp
     """Each option in turn, with every other option valid: no output, one error line."""
     kind = next(row[1] for row in cli._COMMANDS[command][2] if row[0] == key)
     # a value the option's type rejects, whichever JSON type the option wants
-    bad = [["x"], {"x": 1}, None, math.nan, math.inf, -math.inf]
+    bad = [["x"], {"x": 1}, None, math.nan, math.inf, -math.inf, True]
     bad.append(5 if kind is cli._text else "x")
     prefix = key.split("_")[0]
     algo = prefix if prefix in cli._SOLVERS else "ndi"

@@ -275,7 +275,7 @@ def test_mask_erode_rejects_non_finite_radius(grid8, radius):
 )
 def test_mask_erode_same_bits_for_every_thread_count(threads, dims, spacing, radius):
     g = VolumeGrid(dims, spacing)
-    # large enough for the erosion to be split into x slabs
+    # large enough that a pass on for_slabs would use two threads
     assert g.n_voxels >= 2 * core._CHUNK
     rng = np.random.default_rng(31)
     inside = np.ones(dims, dtype=bool)
@@ -312,6 +312,30 @@ def test_mask_erode_radius_just_under_the_extent_matches_binary_erosion(dims, sp
     inside = np.ones(dims, dtype=bool)
     got = mask_erode(ScalarVolume(g, inside.astype(float)), radius).data
     want = ndimage.binary_erosion(inside, structure=ball_offsets(spacing, radius), border_value=0)
+    assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+@st.composite
+def _erosion_cases(draw):
+    """A grid of 1-24 voxels per axis at 0.5-2 mm, a radius of 0-6 mm (often a
+    whole number of voxels along one axis, where dist^2 ties the radius), and a
+    random or all-ones mask."""
+    dims = draw(st.tuples(*[st.integers(1, 24)] * 3))
+    spacing = draw(st.tuples(*[st.floats(0.5, 2.0)] * 3))
+    step = draw(st.sampled_from(spacing))
+    whole_voxels = st.integers(0, 12).map(lambda m: m * step).filter(lambda r: r <= 6.0)
+    radius = draw(st.floats(0.0, 6.0) | whole_voxels)
+    holes = draw(st.sampled_from([0.0, 0.005, 0.05, 0.3]))
+    inside = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(dims) >= holes
+    return VolumeGrid(dims, spacing), radius, inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_erosion_cases())
+def test_mask_erode_equals_binary_erosion(case):
+    g, radius, inside = case
+    got = mask_erode(ScalarVolume(g, inside.astype(float)), radius).data
+    want = ndimage.binary_erosion(inside, structure=ball_offsets(g.spacing, radius), border_value=0)
     assert got.tobytes() == want.astype(np.float64).tobytes()
 
 
