@@ -20,7 +20,7 @@ import numpy as np
 from .core import Acquisition, Orientation, OrientationDataset, ScalarVolume, VolumeGrid, fft_workers
 from .dipole import dipole_kernel
 from .invert import CosmosConfig, L2Config, TkdConfig, cosmos, l2_closedform, tkd
-from .io import NiftiFormatError, read_nifti, slice_to_pgm, write_nifti
+from .io import NiftiFormatError, read_nifti, require_nifti_grid, slice_to_pgm, write_nifti
 from .metrics import SsimConfig, data_consistency, nrmse, ssim3d
 from .ndi import NdiConfig, NdiDivergenceError, ndi_reconstruct
 from .preprocess import SmvConfig, laplacian_unwrap, smv_filter
@@ -75,23 +75,17 @@ def _integer(value):
     raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
 
 
-def _not_boolean(value):
-    """value, unless it is or holds a JSON true/false, which float() and int() read as 1/0."""
-    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
-        raise TypeError(f"true/false is not a valid value here, got {value!r}")
-    return value
-
-
 def _converted(kind, value, what):
-    """value as kind (a flag type such as _finite); a value kind rejects, or a JSON
-    boolean, is a ConfigError."""
+    """value as kind (a flag type); a value kind rejects, or a JSON boolean, is a ConfigError."""
     try:
-        return kind(_not_boolean(value))
+        if isinstance(value, bool):
+            raise TypeError(f"true/false is not a valid value here, got {value!r}")
+        return kind(value)
     except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-_REQUIRED = object()  # the default of an option that must be given
+_REQUIRED = object()  # the default of an option or a config key that must be given
 
 
 def _options(args, cfg):
@@ -110,21 +104,45 @@ def _options(args, cfg):
             setattr(args, key, default)
 
 
-def _config(kind, what, **values):
-    """kind(**values); a value the config class rejects is a ConfigError naming what."""
+def _config(kind, what, /, **values):
+    """kind(**values); a value kind rejects is a ConfigError naming what."""
     try:
         return kind(**values)
     except ValueError as exc:
-        raise ConfigError(f"{what} options: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _member(cfg, key, kind, where="config"):
-    """cfg[key], or an empty kind when absent; a value of another JSON type is a ConfigError."""
-    value = cfg.get(key, kind())
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "a list"
-        raise ConfigError(f"{where} {key!r} must be {name}, got {value!r}")
-    return value
+class _List:
+    """Schema of a JSON list of item values; lone: a lone value stands for a list of one."""
+
+    def __init__(self, item, nonempty=False, lone=False):
+        self.item, self.nonempty, self.lone = item, nonempty, lone
+
+
+def _walk(schema, value, where, path=""):
+    """value read by schema: a leaf type (a flag type such as _finite), a _List, or a dict of
+    key -> (schema, default) for a JSON object, whose undeclared keys are kept. A default is
+    read like a given value; _REQUIRED marks a key that must be given, None one that may be
+    absent or null. A bad value is a ConfigError naming where and its JSON path."""
+    at = f"{where} {path}" if path else where
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{at}: expected an object, got {value!r}")
+        out = dict(value)
+        for key, (field, default) in schema.items():
+            given = value.get(key, default)
+            if given is _REQUIRED:
+                raise ConfigError(f"{at}: missing {key!r}")
+            nested = f"{path}.{key}".lstrip(".")
+            out[key] = None if given is None and default is None else _walk(field, given, where, nested)
+        return out
+    if isinstance(schema, _List):
+        if schema.lone and not isinstance(value, list):
+            value = [value]
+        if not isinstance(value, list) or (schema.nonempty and not value):
+            raise ConfigError(f"{at}: expected a {'non-empty ' * schema.nonempty}list, got {value!r}")
+        return [_walk(schema.item, v, where, f"{path}[{i}]") for i, v in enumerate(value)]
+    return _converted(schema, value, at)
 
 
 def _load_volume(path) -> ScalarVolume:
@@ -133,79 +151,71 @@ def _load_volume(path) -> ScalarVolume:
     return read_nifti(path)
 
 
-def _parse_grid(cfg):
-    grid_cfg = cfg.get("grid")
-    if grid_cfg is None:
-        raise ConfigError("config must define 'grid': {'dims': [...], 'spacing': [...]}")
+def _parse_orientation(vec) -> Orientation:
+    """A unit B0 direction from a list of 3 numbers (or numeric strings, as --bvec's parts)."""
     try:
-        dims, spacing = grid_cfg["dims"], grid_cfg.get("spacing", (1.0, 1.0, 1.0))
-        return VolumeGrid(tuple(_not_boolean(dims)), tuple(_not_boolean(spacing)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config grid: {exc}") from exc
-
-
-def _parse_shape(entry, where, chi=None):
-    """A Shape from its config entry; chi, when given, replaces the entry's."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: must be an object, got {entry!r}")
-    try:
-        return Shape(
-            kind=entry["kind"],
-            center=tuple(_not_boolean(entry["center"])),
-            size=tuple(np.atleast_1d(_not_boolean(entry["size"]))),
-            chi=float(_not_boolean(entry.get("chi", 1.0)) if chi is None else chi),
-            axis=entry.get("axis", "z"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_orientation(vec, where) -> Orientation:
-    try:
-        arr = np.asarray(_not_boolean(vec), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: orientation must be 3 numbers, got {vec!r}") from exc
+        if not isinstance(vec, list) or any(isinstance(c, bool) for c in vec):
+            raise TypeError
+        arr = np.asarray(vec, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"orientation must be 3 numbers, got {vec!r}") from None
     if arr.shape != (3,):
-        raise ConfigError(f"{where}: orientation needs 3 components, got {vec!r}")
+        raise ValueError(f"orientation needs 3 components, got {vec!r}")
     with np.errstate(over="ignore"):  # a component past 1e154 gives inf, refused below
         norm = float(np.linalg.norm(arr))
     if not abs(norm - 1.0) <= 1e-6:
-        raise ConfigError(f"{where}: orientation must be unit-norm within 1e-6, |b|={norm}")
+        raise ValueError(f"orientation must be unit-norm within 1e-6, |b|={norm}")
     return Orientation.from_vector(arr)
 
 
-def _parse_bvec(text, where) -> Orientation:
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse orientation {text!r}") from exc
-    return _parse_orientation(parts, where)
+def _parse_bvecs(bvecs) -> list[Orientation]:
+    return [_converted(_parse_orientation, b.split(","), f"--bvec[{i}]") for i, b in enumerate(bvecs)]
+
+
+# The nested config values and the dataset sidecar, read by _walk.
+_SHAPES = {"shapes": (_List({
+    "kind": (_text, _REQUIRED),
+    "center": (_List(_finite), _REQUIRED),
+    "size": (_List(_finite, lone=True), _REQUIRED),  # a sphere's radius may be one number
+    "chi": (_finite, 1.0),
+    "axis": (_text, "z"),
+}), [])}
+_PHANTOM = {
+    "grid": ({"dims": (_List(_integer), _REQUIRED), "spacing": (_List(_finite), [1, 1, 1])}, _REQUIRED),
+    "phantom": ({**_SHAPES, "background": (_finite, 0.0)}, {}),
+    "mask": (_SHAPES, None),  # absent or null: an all-ones mask
+    "magnitude_inside": (_finite, 1.0),
+    "outputs": ({}, {}),  # phantom's options
+}
+_ORIENTATIONS = _List(_parse_orientation, nonempty=True)
+_SIDECAR = {"entries": (_List({
+    "phase": (_text, _REQUIRED),
+    "magnitude": (_text, _REQUIRED),
+    "orientation": (_parse_orientation, _REQUIRED),
+}, nonempty=True), _REQUIRED)}
 
 
 # ----------------------------------------------------------------- commands
 
 
-def cmd_phantom(args, cfg):
-    grid = _parse_grid(cfg)
-    phantom_cfg = _member(cfg, "phantom", dict)
-    shapes = [
-        _parse_shape(s, f"phantom.shapes[{i}]")
-        for i, s in enumerate(_member(phantom_cfg, "shapes", list, "phantom"))
-    ]
-    background = _converted(_finite, phantom_cfg.get("background", 0.0), "phantom.background")
-    chi = make_phantom(grid, PhantomSpec(shapes=tuple(shapes), background=background))
+def _shapes(cfg, key, chi=None):
+    """The Shapes of a walked config's cfg[key]["shapes"]; chi, when given, replaces each one's."""
+    return tuple(
+        _config(Shape, f"config {key}.shapes[{i}]", kind=s["kind"], center=s["center"], size=s["size"],
+                chi=s["chi"] if chi is None else chi, axis=s["axis"])
+        for i, s in enumerate(cfg[key]["shapes"])
+    )
 
-    if cfg.get("mask") is None:
+
+def cmd_phantom(args, cfg):
+    grid = _config(VolumeGrid, "config grid", dims=cfg["grid"]["dims"], spacing=cfg["grid"]["spacing"])
+    _config(require_nifti_grid, "config grid", grid=grid)  # before a grid's worth of work
+    chi = make_phantom(grid, PhantomSpec(_shapes(cfg, "phantom"), cfg["phantom"]["background"]))
+    if cfg["mask"] is None:
         mask = ScalarVolume(grid, np.ones(grid.dims))
     else:
-        mask_shapes = [
-            _parse_shape(s, f"mask.shapes[{i}]", chi=1.0)
-            for i, s in enumerate(_member(_member(cfg, "mask", dict), "shapes", list, "mask"))
-        ]
-        mask = make_phantom(grid, PhantomSpec(shapes=tuple(mask_shapes), background=0.0))
-
-    inside_value = _converted(_finite, cfg.get("magnitude_inside", 1.0), "magnitude_inside")
-    magnitude = ScalarVolume(grid, inside_value * mask.data)
+        mask = make_phantom(grid, PhantomSpec(_shapes(cfg, "mask", chi=1.0)))
+    magnitude = ScalarVolume(grid, cfg["magnitude_inside"] * mask.data)
 
     write_nifti(args.out_chi, chi)
     write_nifti(args.out_magnitude, magnitude)
@@ -215,21 +225,17 @@ def cmd_phantom(args, cfg):
 
 
 def cmd_simulate(args, cfg):
+    if args.bvec:
+        orientations = _parse_bvecs(args.bvec)
+    elif "orientations" in cfg:
+        orientations = _walk(_ORIENTATIONS, cfg["orientations"], "config", "orientations")
+    else:
+        raise ConfigError("no orientations given (--bvec or config 'orientations')")
     chi = _load_volume(args.chi)
     magnitude = _load_volume(args.magnitude)
     mask = _load_volume(args.mask)
 
-    if args.bvec:
-        orientations = [_parse_bvec(b, f"--bvec[{i}]") for i, b in enumerate(args.bvec)]
-    elif "orientations" in cfg:
-        orientations = [
-            _parse_orientation(v, f"orientations[{i}]")
-            for i, v in enumerate(_member(cfg, "orientations", list))
-        ]
-    else:
-        raise ConfigError("no orientations given (--bvec or config 'orientations')")
-
-    noise = _config(NoiseSpec, "noise", sigma=args.sigma, seed=args.seed)
+    noise = _config(NoiseSpec, "noise options", sigma=args.sigma, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     dataset = simulate_acquisition(chi, magnitude, orientations, noise, mask=mask)
 
@@ -262,7 +268,7 @@ def cmd_unwrap(args, cfg):
 
 
 def cmd_smv(args, cfg):
-    smv_cfg = _config(SmvConfig, "smv", radius_mm=args.smv_radius, tsvd_threshold=args.smv_threshold)
+    smv_cfg = _config(SmvConfig, "smv options", radius_mm=args.smv_radius, tsvd_threshold=args.smv_threshold)
     phase = _load_volume(args.phase)
     mask = _load_volume(args.mask)
     tissue, reliable = smv_filter(phase, mask, smv_cfg)
@@ -275,37 +281,16 @@ def cmd_smv(args, cfg):
     return 0
 
 
-def _sidecar_entries(path):
-    """The entries of a dataset sidecar, checked for the keys _load_dataset reads."""
-    entries = _load_json_object(path, "dataset").get("entries")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"dataset {path}: 'entries' must be a non-empty list")
-    for i, item in enumerate(entries):
-        where = f"dataset {path} entries[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where}: must be a JSON object")
-        missing = [k for k in ("phase", "magnitude", "orientation") if k not in item]
-        if missing:
-            raise ConfigError(f"{where}: missing {', '.join(map(repr, missing))}")
-        for key in ("phase", "magnitude"):
-            if not isinstance(item[key], str):
-                raise ConfigError(f"{where}: {key!r} must be a file name, got {item[key]!r}")
-    return entries
-
-
 def _load_dataset(args, mask: ScalarVolume, phase_scale: float, mask_phase=False) -> OrientationDataset:
     """Dataset from a sidecar JSON or from repeated --phase/--magnitude/--bvec.
 
     mask_phase zeroes the phase outside the mask, as the linear inversions need.
     """
-    entries = []
     if args.dataset is not None:
         base = os.path.dirname(os.path.abspath(args.dataset))
-        for i, item in enumerate(_sidecar_entries(args.dataset)):
-            where = f"dataset {args.dataset} entries[{i}]"
-            phase = _load_volume(os.path.join(base, item["phase"]))
-            magnitude = _load_volume(os.path.join(base, item["magnitude"]))
-            entries.append((phase, magnitude, _parse_orientation(item["orientation"], where)))
+        sidecar = _walk(_SIDECAR, _load_json_object(args.dataset, "dataset"), f"dataset {args.dataset}")
+        sources = [(os.path.join(base, item["phase"]), os.path.join(base, item["magnitude"]),
+                    item["orientation"]) for item in sidecar["entries"]]
     else:
         phases = args.phase or []
         if not phases:
@@ -313,24 +298,24 @@ def _load_dataset(args, mask: ScalarVolume, phase_scale: float, mask_phase=False
         bvecs = args.bvec or []
         if len(bvecs) != len(phases):
             raise ConfigError(f"{len(phases)} --phase flags but {len(bvecs)} --bvec flags")
-        magnitudes = args.magnitude or []
-        if magnitudes and len(magnitudes) != len(phases):
+        magnitudes = args.magnitude or [None] * len(phases)
+        if len(magnitudes) != len(phases):
             raise ConfigError(f"{len(phases)} --phase flags but {len(magnitudes)} --magnitude flags")
-        for i, path in enumerate(phases):
-            phase = _load_volume(path)
-            if magnitudes:
-                magnitude = _load_volume(magnitudes[i])
-            else:
-                magnitude = ScalarVolume(phase.grid, np.ones(phase.grid.dims))
-            entries.append((phase, magnitude, _parse_bvec(bvecs[i], f"--bvec[{i}]")))
+        sources = zip(phases, magnitudes, _parse_bvecs(bvecs))
 
     acquisitions = []
-    for phase, magnitude, orientation in entries:
+    for phase_path, magnitude_path, orientation in sources:
+        phase = _load_volume(phase_path)
+        if magnitude_path is None:
+            magnitude = ScalarVolume(phase.grid, np.ones(phase.grid.dims))
+        else:
+            magnitude = _load_volume(magnitude_path)
         # the products below need the mask's grid: name the grids, not a failed broadcast
         mask.grid.require_compatible(phase.grid)
         mask.grid.require_compatible(magnitude.grid)
         if phase_scale != 1.0:
-            phase = ScalarVolume(phase.grid, phase_scale * phase.data)
+            with np.errstate(over="ignore"):  # past the float range: inf, which ScalarVolume refuses
+                phase = ScalarVolume(phase.grid, phase_scale * phase.data)
         if mask_phase:
             phase = ScalarVolume(phase.grid, phase.data * mask.data)
         # restrict the data term to the trusted region
@@ -357,7 +342,7 @@ def cmd_invert(args, cfg):
     if algo == "ndi":
         reference = _load_volume(args.reference) if args.reference else None
         values.update(record_history=bool(args.history_out), reference=reference)
-    solver_cfg = _config(kind, algo, **values)
+    solver_cfg = _config(kind, f"{algo} options", **values)
     mask = _load_volume(args.mask)
     # NDI weights its data term by the masked magnitude and reads the phase as given
     dataset = _load_dataset(args, mask, args.phase_scale, mask_phase=algo != "ndi")
@@ -513,27 +498,20 @@ def _build_parser():
     return parser
 
 
-def _check_threads():
-    """A malformed QSM_THREADS is a usage error, reported before any work."""
-    try:
-        fft_workers()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads()
+        _config(fft_workers, "environment")  # a malformed QSM_THREADS, before any work
         cfg = _load_json_object(args.config, "config") if args.config is not None else {}
-        # phantom's config holds its output names under "outputs"
-        _options(args, _member(cfg, "outputs", dict) if args.command == "phantom" else cfg)
+        if args.command == "phantom":  # its options live under "outputs"
+            cfg = _walk(_PHANTOM, cfg, "config")
+        _options(args, cfg["outputs"] if args.command == "phantom" else cfg)
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NiftiFormatError, OSError, NdiDivergenceError) as exc:
+    except (ValueError, NiftiFormatError, OSError, NdiDivergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -73,8 +73,9 @@ def tkd_multiplier(d: np.ndarray, delta: float) -> np.ndarray:
 def tkd(phase: ScalarVolume, kernel: DipoleKernel, cfg: TkdConfig = TkdConfig()) -> ScalarVolume:
     """Truncated k-space division of the tissue phase by the dipole kernel."""
     phase.grid.require_compatible(kernel.grid)
-    multiplier = tkd_multiplier(kernel.half, cfg.delta)
-    return ScalarVolume(phase.grid, spectral_apply(phase.data, multiplier))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: ScalarVolume refuses it
+        multiplier = tkd_multiplier(kernel.half, cfg.delta)
+        return ScalarVolume(phase.grid, spectral_apply(phase.data, multiplier))
 
 
 def cosmos(dataset: OrientationDataset, cfg: CosmosConfig = CosmosConfig()) -> ScalarVolume:
@@ -98,7 +99,7 @@ def cosmos(dataset: OrientationDataset, cfg: CosmosConfig = CosmosConfig()) -> S
             numerator += spec
             denominator = denominator + d * d
     keep = denominator > cfg.eps
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         chi_spec = numerator / denominator
     chi_spec = np.where(keep, chi_spec, 0.0)
     return ScalarVolume(grid, irfft3(chi_spec, grid.dims))
@@ -131,10 +132,11 @@ def l2_closedform(
     """
     phase.grid.require_compatible(kernel.grid)
     d = kernel.half
-    denom = d * d + cfg.lam * gradient_energy_spectrum(phase.grid)
     spec = rfft3(phase.data)
     spec *= d
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a large lambda gives an inf denominator, a subnormal one an inf result that ScalarVolume refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        denom = d * d + cfg.lam * gradient_energy_spectrum(phase.grid)
         chi_spec = spec / denom
     chi_spec = np.where(denom > 0, chi_spec, 0.0)
     return ScalarVolume(phase.grid, irfft3(chi_spec, phase.grid.dims))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ScalarVolume, VolumeGrid
 
-__all__ = ["NiftiFormatError", "read_nifti", "write_nifti", "write_pgm", "slice_to_pgm"]
+__all__ = ["NiftiFormatError", "read_nifti", "require_nifti_grid", "write_nifti", "write_pgm", "slice_to_pgm"]
 
 _HEADER_SIZE = 348
 _MAGIC_SINGLE = b"n+1\x00"
@@ -30,12 +30,25 @@ class NiftiFormatError(ValueError):
     """Raised for files outside the supported NIfTI-1 subset."""
 
 
+def require_nifti_grid(grid: VolumeGrid):
+    """Raise ValueError unless the header can hold grid: int16 extents, and
+    float32 spacings that stay positive and finite (read_nifti refuses others)."""
+    if max(grid.dims) > 32767:
+        raise ValueError(f"grid extents {grid.dims} exceed the NIfTI-1 limit of 32767")
+    with np.errstate(over="ignore", under="ignore"):
+        pixdim = np.array(grid.spacing, dtype=np.float32)
+    if not all(0 < p < np.inf for p in pixdim):
+        raise ValueError(f"voxel spacing {grid.spacing} is 0 or inf as a NIfTI-1 float32 pixdim")
+
+
 def write_nifti(path, volume: ScalarVolume):
     """Write a single-file little-endian float32 NIfTI-1 volume.
 
-    Raises ValueError, before the file is opened, when a value lies outside
-    the float32 range: it would be stored as inf, which read_nifti refuses.
+    Raises ValueError, before the file is opened, when the grid does not fit
+    the header (require_nifti_grid) or a value lies outside the float32
+    range: it would be stored as inf, which read_nifti refuses.
     """
+    require_nifti_grid(volume.grid)
     with np.errstate(over="ignore"):
         samples = volume.data.astype("<f4")
     if not np.all(np.isfinite(samples)):

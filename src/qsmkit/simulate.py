@@ -27,6 +27,8 @@ __all__ = ["Shape", "PhantomSpec", "NoiseSpec", "make_phantom", "simulate_acquis
 
 _KINDS = {"sphere": _accel.KIND_SPHERE, "cylinder": _accel.KIND_CYLINDER, "cuboid": _accel.KIND_CUBOID}
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+_MAX_MM = 1e150  # a longer centre offset or size would square to inf in the containment tests
+_MAX_SIGMA = 1e300  # larger noise would leave the float range
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,17 @@ class Shape:
         size = tuple(float(s) for s in np.atleast_1d(self.size))
         if len(size) != expected:
             raise ValueError(f"{self.kind} needs {expected} size parameter(s), got {size}")
-        if not all(0 < s < np.inf for s in size):
-            raise ValueError(f"shape sizes must be positive and finite, got {size}")
+        if not all(0 < s <= _MAX_MM for s in size):
+            raise ValueError(f"shape sizes must be positive and finite, at most {_MAX_MM:g} mm, got {size}")
         if self.axis not in _AXIS_INDEX:
             raise ValueError(f"cylinder axis must be x, y or z, got {self.axis!r}")
         center = tuple(float(c) for c in self.center)
         if len(center) != 3:
             raise ValueError("shape center requires 3 coordinates")
         chi = float(self.chi)
-        if not np.all(np.isfinite([*center, chi])):
-            raise ValueError(f"shape center and chi must be finite, got {center} and {chi}")
+        if not (all(abs(c) <= _MAX_MM for c in center) and np.isfinite(chi)):
+            raise ValueError(f"shape center must be finite, within {_MAX_MM:g} mm, and chi finite, "
+                             f"got {center} and {chi}")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "chi", chi)
@@ -90,8 +93,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not 0 <= self.sigma <= _MAX_SIGMA:
+            raise ValueError(f"noise sigma must be >= 0 and at most {_MAX_SIGMA:g}, got {self.sigma}")
 
 
 def _pack_shapes(shapes):

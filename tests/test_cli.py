@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -563,6 +564,16 @@ _SLICE = ["slice", "--volume", "chi.nii", "--axis", "z", "--out", "slice.pgm"]
         (["simulate"], '{"orientations": [[false, false, true]]}'),
         (["simulate"], '{"orientations": [[0, 0, 1]], "seed": true}'),
         (["invert", "--algo", "ndi"], '{"ndi_lambda": true}'),
+        (["phantom"], '{"grid": {"dims": [8.7, 8, 8]}}'),
+        (["phantom"], '{"grid": {"dims": "888"}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8], "spacing": "111"}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, '
+                      '"phantom": {"shapes": [{"kind": "sphere", "center": "000", "size": [2]}]}}'),
+        (["phantom"], '{"grid": {"dims": [40000, 1, 1]}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8], "spacing": [1e308, 1, 1]}}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8], "spacing": [1e-50, 1, 1]}}'),
+        (["phantom"], '{"grid": {"dims": [1000000, 1000000, 1]}}'),
+        (["simulate"], '{"orientations": []}'),
     ],
     ids=["phantom-list", "mask-list", "mask-shape-number", "outputs-list", "magnitude-inside-text",
          "background-text", "grid-dim-overflow", "orientations-number", "seed-overflow",
@@ -572,7 +583,10 @@ _SLICE = ["slice", "--volume", "chi.nii", "--axis", "z", "--out", "slice.pgm"]
          "background-inf", "shape-center-nan", "sigma-negative", "grid-dim-boolean",
          "grid-spacing-boolean", "magnitude-inside-boolean", "background-boolean",
          "shape-center-boolean", "shape-size-boolean", "shape-chi-boolean",
-         "orientation-booleans", "seed-boolean", "ndi-lambda-boolean"],
+         "orientation-booleans", "seed-boolean", "ndi-lambda-boolean", "grid-dim-fraction",
+         "grid-dims-text", "grid-spacing-text", "shape-center-text", "grid-dim-past-int16",
+         "grid-spacing-past-float32", "grid-spacing-below-float32", "grid-past-memory",
+         "orientations-empty"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, argv, config):
     dataset = _small_dataset(tmp_path)
@@ -822,3 +836,143 @@ def test_integer_type_agrees_for_flag_text_and_config_number():
     for value in ("2.7", 2.7, math.nan, math.inf, "inf", "x", [2]):
         with pytest.raises(argparse.ArgumentTypeError):
             cli._integer(value)
+
+
+def test_grid_past_the_address_space_exits_1_with_small_peak_rss(tmp_path):
+    """A grid the header holds but no address space can (216 TB of float64) is a
+    runtime failure: its first full-grid allocation fails at once."""
+    (tmp_path / "big.json").write_text(json.dumps({"grid": {"dims": [30000, 30000, 30000]}}))
+    # VmHWM is this process's own peak; ru_maxrss may hold the forking parent's
+    code = ("from qsmkit.cli import main\n"
+            "rc = main(['phantom', '--config', 'big.json'])\n"
+            "peak = next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM'))\n"
+            "print(rc, peak)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                          env=child_env())
+    rc, peak_kib = map(int, proc.stdout.split())
+    assert rc == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert peak_kib < 200 * 1024
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+
+# Fuzzed whole configs: numbers stay within 50 or are extreme, so that no grid
+# is large, and text has no "/", so that no output name leaves the run directory.
+_CONFIG_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats(-50, 50)
+    | st.sampled_from([10**400, 1e308, -1e308, 5e-324, math.inf, math.nan])
+    | st.text(st.characters(blacklist_characters="/"), max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_BAD_CONFIG_VALUE = (st.booleans() | st.sampled_from([0.5, 2.7, -1.5, math.inf, 10**400, 1e308, -1e308])
+                     | st.sampled_from(["888", "000", "0,0,1", ""]) | _CONFIG_JSON)
+_UNIT_VECTORS = [[0, 0, 1], [0, 0.6, 0.8], [1.0, 0.0, 0.0], ["0", "1", "0"]]
+
+
+@st.composite
+def _shape_config(draw):
+    kind = draw(st.sampled_from(["sphere", "cylinder", "cuboid"]))
+    n_sizes = {"sphere": 1, "cylinder": 2, "cuboid": 3}[kind]
+    shape = {"kind": kind, "center": draw(st.lists(st.floats(-4, 4), min_size=3, max_size=3)),
+             "size": draw(st.lists(st.floats(0.5, 6), min_size=n_sizes, max_size=n_sizes)),
+             "chi": draw(st.floats(-0.1, 0.1)), "axis": draw(st.sampled_from("xyz"))}
+    assert set(shape) == set(cli._SHAPES["shapes"][0].item)  # every declared key, for mutation
+    return shape
+
+
+def _valid_whole_config(draw, command, inputs):
+    """A valid config giving every key of command's schema and options; outputs are relative."""
+    if command == "phantom":
+        cfg = {
+            "grid": {"dims": draw(st.lists(st.integers(1, 8), min_size=3, max_size=3)),
+                     "spacing": draw(st.lists(st.floats(0.5, 2), min_size=3, max_size=3))},
+            "phantom": {"background": draw(st.floats(-0.1, 0.1)),
+                        "shapes": draw(st.lists(_shape_config(), min_size=1, max_size=3))},
+            "mask": draw(st.none() | st.builds(lambda shapes: {"shapes": shapes},
+                                               st.lists(_shape_config(), max_size=2))),
+            "magnitude_inside": draw(st.floats(0.1, 2)),
+            "outputs": {"out_chi": "c.nii", "out_magnitude": "m.nii", "out_mask": "k.nii"},
+        }
+        assert set(cfg) == set(cli._PHANTOM) and set(cfg["grid"]) == set(cli._PHANTOM["grid"][0])
+        return cfg
+    cfg = _valid_config(command, draw(st.sampled_from(list(cli._SOLVERS))), inputs)
+    if command == "simulate":
+        vectors = st.sampled_from(_UNIT_VECTORS).map(list)  # a fresh list, which a mutation may change
+        cfg["orientations"] = draw(st.lists(vectors, min_size=1, max_size=3))
+    return cfg
+
+
+def _json_paths(value, path=()):
+    """The path of every object member and list element in value, outermost first."""
+    if isinstance(value, (dict, list)):
+        members = value.items() if isinstance(value, dict) else enumerate(value)
+    else:
+        members = ()
+    for key, child in members:
+        yield (*path, key)
+        yield from _json_paths(child, (*path, key))
+
+
+@st.composite
+def _whole_configs(draw, inputs):
+    """A command and its valid config with up to two values dropped or swapped for bad ones."""
+    command = draw(st.sampled_from(["phantom", "simulate", "invert"]))
+    cfg = _valid_whole_config(draw, command, inputs)
+    for _ in range(draw(st.integers(0, 2))):
+        paths = list(_json_paths(cfg))
+        if not paths:
+            break
+        *parent, key = draw(st.sampled_from(paths))
+        container = cfg
+        for step in parent:
+            container = container[step]
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_BAD_CONFIG_VALUE)
+    return command, cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("whole_configs")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_whole_config_exits_0_1_or_2_with_one_error_line(inputs, fuzz_root, data):
+    command, cfg = data.draw(_whole_configs(inputs))
+    run_dir = Path(tempfile.mkdtemp(dir=fuzz_root))
+    config = run_dir.with_suffix(".json")
+    config.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    # a warning would print lines of its own on the CLI's stderr
+    with contextlib.chdir(run_dir), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", str(config), *(["--ndi-iters", "2"] if command == "invert" else [])])
+    event(f"{command} exit {rc}")
+    assert rc in (0, 1, 2)
+    message = err.getvalue()
+    if rc == 0:
+        assert message == ""
+    else:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+        assert "Traceback" not in message
+    if rc == 2:
+        assert list(run_dir.iterdir()) == []
+
+
+def _readme_example_phantom_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Example phantom config:", 1)[1]
+    return json.loads(after.split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_readme_example_phantom_config_runs(tmp_path, capsys, monkeypatch):
+    _write_config(tmp_path, _readme_example_phantom_config())
+    monkeypatch.chdir(tmp_path)
+    assert main(["phantom", "--config", "config.json"]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_nifti(tmp_path / "chi.nii").grid.dims == (64, 64, 64)

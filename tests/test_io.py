@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qsmkit import ScalarVolume, VolumeGrid
-from qsmkit.io import NiftiFormatError, read_nifti, slice_to_pgm, write_nifti
+from qsmkit.io import NiftiFormatError, read_nifti, require_nifti_grid, slice_to_pgm, write_nifti
 
 from conftest import random_volume
 
@@ -246,3 +246,32 @@ def test_writer_rejects_values_beyond_float32_before_opening(tmp_path):
     with pytest.raises(ValueError, match="float32"):
         write_nifti(path, ScalarVolume(g, data))
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "dims, spacing, message",
+    [
+        ((40000, 1, 1), (1.0, 1.0, 1.0), "32767"),  # dim is int16 in the header
+        ((4, 4, 4), (1e308, 1.0, 1.0), "pixdim"),  # float32 pixdim would be inf
+        ((4, 4, 4), (1.0, 1e-50, 1.0), "pixdim"),  # float32 pixdim would be 0
+    ],
+    ids=["extent-past-int16", "spacing-past-float32", "spacing-below-float32"],
+)
+@pytest.mark.filterwarnings("error")  # the float32 cast must not warn
+def test_writer_rejects_a_grid_the_header_cannot_hold_before_opening(tmp_path, dims, spacing, message):
+    grid = VolumeGrid(dims, spacing)
+    with pytest.raises(ValueError, match=message):
+        require_nifti_grid(grid)
+    path = tmp_path / "grid.nii"
+    with pytest.raises(ValueError, match=message):
+        write_nifti(path, ScalarVolume.zeros(grid))
+    assert not path.exists()
+
+
+def test_header_holds_the_largest_extent_and_float32_spacings(tmp_path):
+    grid = VolumeGrid((32767, 1, 2), (3.4e38, 1e-44, 1.0))
+    require_nifti_grid(grid)
+    write_nifti(tmp_path / "edge.nii", ScalarVolume.zeros(grid))
+    back = read_nifti(tmp_path / "edge.nii")
+    assert back.grid.dims == grid.dims
+    assert back.grid.spacing[0] == np.float32(3.4e38) and back.grid.spacing[1] > 0
