@@ -12,19 +12,10 @@ from .core import for_slabs
 # Read by the benchmark's machine facts; the kernels are numpy only.
 USING_NUMBA = False
 
-# shape kind codes shared with simulate.py
-KIND_SPHERE = 0
-KIND_CYLINDER = 1
-KIND_CUBOID = 2
-
 
 def trig_cost(field, phase, w2):
     """sum of 2 * w2 * (1 - cos(field - phase))."""
     return float(np.sum(2.0 * w2 * (1.0 - np.cos(field - phase))))
-
-
-def _flat64(*volumes):
-    return [np.ascontiguousarray(v, dtype=np.float64).reshape(-1) for v in volumes]
 
 
 def _scratch(field):
@@ -43,7 +34,7 @@ def weighted_sin_residual(field, phase, w2):
     plain expression for every thread count.
     """
     r = _scratch(field)
-    p, w = _flat64(phase, w2)
+    p, w = np.ravel(phase), np.ravel(w2)
 
     def slab(lo, hi):
         np.subtract(r[lo:hi], p[lo:hi], out=r[lo:hi])
@@ -66,7 +57,7 @@ def residual_and_cost(field, phase, w2):
     """
     r = _scratch(field)
     terms = np.empty(np.shape(field))
-    p, w = _flat64(phase, w2)
+    p, w = np.ravel(phase), np.ravel(w2)
     c = terms.reshape(-1)
 
     def slab(lo, hi):
@@ -82,27 +73,11 @@ def residual_and_cost(field, phase, w2):
     return field, float(np.sum(terms))
 
 
-def rasterize_shapes(xs, ys, zs, kinds, centers, sizes, axes, chis, background):
-    """Fill a volume from shape primitives; the last shape containing a voxel wins."""
+def rasterize_shapes(coords, shapes, background):
+    """Fill a volume on the voxel_coords axes; the last shape containing a voxel wins."""
+    xs, ys, zs = coords
     out = np.full((xs.size, ys.size, zs.size), background, dtype=np.float64)
-    px = xs[:, None, None]
-    py = ys[None, :, None]
-    pz = zs[None, None, :]
-    for s in range(kinds.shape[0]):
-        cx, cy, cz = centers[s]
-        if kinds[s] == KIND_SPHERE:
-            inside = (px - cx) ** 2 + (py - cy) ** 2 + (pz - cz) ** 2 <= sizes[s, 0] ** 2
-        elif kinds[s] == KIND_CYLINDER:
-            d = [px - cx, py - cy, pz - cz]
-            a = axes[s]
-            along = d[a]
-            radial2 = sum(d[i] ** 2 for i in range(3) if i != a)
-            inside = (np.abs(along) <= sizes[s, 1]) & (radial2 <= sizes[s, 0] ** 2)
-        else:
-            inside = (
-                (np.abs(px - cx) <= sizes[s, 0])
-                & (np.abs(py - cy) <= sizes[s, 1])
-                & (np.abs(pz - cz) <= sizes[s, 2])
-            )
-        out[inside] = chis[s]
+    points = (xs[:, None, None], ys[None, :, None], zs[None, None, :])
+    for shape in shapes:
+        out[shape.contains(*points)] = shape.chi
     return out

@@ -20,7 +20,7 @@ import numpy as np
 from .core import Acquisition, Orientation, OrientationDataset, ScalarVolume, VolumeGrid, fft_workers
 from .dipole import dipole_kernel
 from .invert import CosmosConfig, L2Config, TkdConfig, cosmos, l2_closedform, tkd
-from .io import NiftiFormatError, read_nifti, require_nifti_grid, slice_to_pgm, write_nifti
+from .io import NiftiFormatError, read_nifti, require_nifti_grid, require_nifti_volume, slice_to_pgm, write_nifti
 from .metrics import SsimConfig, data_consistency, nrmse, ssim3d
 from .ndi import NdiConfig, NdiDivergenceError, ndi_reconstruct
 from .preprocess import SmvConfig, laplacian_unwrap, smv_filter
@@ -151,6 +151,17 @@ def _load_volume(path) -> ScalarVolume:
     return read_nifti(path)
 
 
+def _write_all(outputs, out_dir=None):
+    """Write a stage's (path, volume) outputs, and first make out_dir if given, once every
+    volume passes require_nifti_volume: a refused one leaves nothing behind."""
+    for path, volume in outputs:
+        require_nifti_volume(path, volume)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    for path, volume in outputs:
+        write_nifti(path, volume)
+
+
 def _parse_orientation(vec) -> Orientation:
     """A unit B0 direction from a list of 3 numbers (or numeric strings, as --bvec's parts)."""
     try:
@@ -217,9 +228,7 @@ def cmd_phantom(args, cfg):
         mask = make_phantom(grid, PhantomSpec(_shapes(cfg, "mask", chi=1.0)))
     magnitude = ScalarVolume(grid, cfg["magnitude_inside"] * mask.data)
 
-    write_nifti(args.out_chi, chi)
-    write_nifti(args.out_magnitude, magnitude)
-    write_nifti(args.out_mask, mask)
+    _write_all([(args.out_chi, chi), (args.out_magnitude, magnitude), (args.out_mask, mask)])
     print(f"wrote {args.out_chi}, {args.out_magnitude}, {args.out_mask}")
     return 0
 
@@ -236,20 +245,19 @@ def cmd_simulate(args, cfg):
     mask = _load_volume(args.mask)
 
     noise = _config(NoiseSpec, "noise options", sigma=args.sigma, seed=args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
     dataset = simulate_acquisition(chi, magnitude, orientations, noise, mask=mask)
 
     mask_name = f"{args.prefix}mask.nii"
-    write_nifti(os.path.join(args.out_dir, mask_name), dataset.mask)
+    outputs = [(mask_name, dataset.mask)]
     entries = []
     for r, entry in enumerate(dataset.entries):
         phase_name = f"{args.prefix}phase_{r:03d}.nii"
         mag_name = f"{args.prefix}magnitude_{r:03d}.nii"
-        write_nifti(os.path.join(args.out_dir, phase_name), entry.phase)
-        write_nifti(os.path.join(args.out_dir, mag_name), entry.magnitude)
+        outputs += [(phase_name, entry.phase), (mag_name, entry.magnitude)]
         entries.append(
             {"phase": phase_name, "magnitude": mag_name, "orientation": list(entry.orientation.b)}
         )
+    _write_all([(os.path.join(args.out_dir, name), volume) for name, volume in outputs], args.out_dir)
     sidecar = {"seed": args.seed, "sigma": args.sigma, "mask": mask_name, "entries": entries}
     sidecar_path = os.path.join(args.out_dir, f"{args.prefix}dataset.json")
     with open(sidecar_path, "w") as fh:
@@ -272,12 +280,9 @@ def cmd_smv(args, cfg):
     phase = _load_volume(args.phase)
     mask = _load_volume(args.mask)
     tissue, reliable = smv_filter(phase, mask, smv_cfg)
-    write_nifti(args.out, tissue)
-    written = [args.out]
-    if args.reliable_mask_out:
-        write_nifti(args.reliable_mask_out, reliable)
-        written.append(args.reliable_mask_out)
-    print(f"wrote {', '.join(written)}")
+    outputs = [(path, v) for path, v in [(args.out, tissue), (args.reliable_mask_out, reliable)] if path]
+    _write_all(outputs)
+    print(f"wrote {', '.join(path for path, _ in outputs)}")
     return 0
 
 
@@ -359,15 +364,15 @@ def cmd_invert(args, cfg):
     else:
         ndi_result = ndi_reconstruct(dataset, solver_cfg)
         result = ndi_result.chi
-        if args.history_out:
-            columns = {"cost": ndi_result.cost_history, "nrmse": ndi_result.nrmse_history}
-            columns = {name: column for name, column in columns.items() if column is not None}
-            with open(args.history_out, "w") as fh:
-                fh.write(",".join(["iteration", *columns]) + "\n")
-                for i, row in enumerate(zip(*columns.values()), start=1):
-                    fh.write(",".join([str(i), *(f"{v:.17g}" for v in row)]) + "\n")
 
-    write_nifti(args.out, result)
+    write_nifti(args.out, result)  # first: a chi it refuses leaves no history file either
+    if algo == "ndi" and args.history_out:
+        columns = {"cost": ndi_result.cost_history, "nrmse": ndi_result.nrmse_history}
+        columns = {name: column for name, column in columns.items() if column is not None}
+        with open(args.history_out, "w") as fh:
+            fh.write(",".join(["iteration", *columns]) + "\n")
+            for i, row in enumerate(zip(*columns.values()), start=1):
+                fh.write(",".join([str(i), *(f"{v:.17g}" for v in row)]) + "\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -17,13 +17,15 @@ import numpy as np
 
 from .core import ScalarVolume, VolumeGrid
 
-__all__ = ["NiftiFormatError", "read_nifti", "require_nifti_grid", "write_nifti", "write_pgm", "slice_to_pgm"]
+__all__ = ["NiftiFormatError", "read_nifti", "require_nifti_grid", "require_nifti_volume", "write_nifti",
+           "write_pgm", "slice_to_pgm"]
 
 _HEADER_SIZE = 348
 _MAGIC_SINGLE = b"n+1\x00"
 _DT_FLOAT32 = 16
 _DT_FLOAT64 = 64
 _DTYPES = {_DT_FLOAT32: np.dtype("<f4"), _DT_FLOAT64: np.dtype("<f8")}
+_F32_INF = 2.0**128 - 2.0**103  # float32's largest value plus half an ulp: rounds to inf
 
 
 class NiftiFormatError(ValueError):
@@ -41,18 +43,22 @@ def require_nifti_grid(grid: VolumeGrid):
         raise ValueError(f"voxel spacing {grid.spacing} is 0 or inf as a NIfTI-1 float32 pixdim")
 
 
+def require_nifti_volume(path, volume: ScalarVolume):
+    """Raise ValueError unless write_nifti can store volume: its grid fits the
+    header (require_nifti_grid) and its values the float32 range (outside it
+    they would be stored as inf, which read_nifti refuses)."""
+    require_nifti_grid(volume.grid)
+    if not max(volume.data.max(), -volume.data.min()) < _F32_INF:
+        raise ValueError(f"{path}: values beyond the float32 range cannot be written")
+
+
 def write_nifti(path, volume: ScalarVolume):
     """Write a single-file little-endian float32 NIfTI-1 volume.
 
-    Raises ValueError, before the file is opened, when the grid does not fit
-    the header (require_nifti_grid) or a value lies outside the float32
-    range: it would be stored as inf, which read_nifti refuses.
+    Raises ValueError, before the file is opened, unless require_nifti_volume passes.
     """
-    require_nifti_grid(volume.grid)
-    with np.errstate(over="ignore"):
-        samples = volume.data.astype("<f4")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{path}: values beyond the float32 range cannot be written")
+    require_nifti_volume(path, volume)
+    samples = volume.data.astype("<f4")
     nx, ny, nz = volume.grid.dims
     dx, dy, dz = volume.grid.spacing
     header = bytearray(_HEADER_SIZE)

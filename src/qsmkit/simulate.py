@@ -25,7 +25,7 @@ from .dipole import dipole_kernel, forward_field
 
 __all__ = ["Shape", "PhantomSpec", "NoiseSpec", "make_phantom", "simulate_acquisition", "wrap_phase"]
 
-_KINDS = {"sphere": _accel.KIND_SPHERE, "cylinder": _accel.KIND_CYLINDER, "cuboid": _accel.KIND_CUBOID}
+_KINDS = {"sphere": 1, "cylinder": 2, "cuboid": 3}  # each kind's number of size parameters
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _MAX_MM = 1e150  # a longer centre offset or size would square to inf in the containment tests
 _MAX_SIGMA = 1e300  # larger noise would leave the float range
@@ -53,7 +53,7 @@ class Shape:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        expected = {"sphere": 1, "cylinder": 2, "cuboid": 3}[self.kind]
+        expected = _KINDS[self.kind]
         size = tuple(float(s) for s in np.atleast_1d(self.size))
         if len(size) != expected:
             raise ValueError(f"{self.kind} needs {expected} size parameter(s), got {size}")
@@ -71,6 +71,18 @@ class Shape:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "chi", chi)
+
+    def contains(self, px, py, pz):
+        """Whether each point (coordinates broadcast together, in mm) lies in the shape."""
+        d = (px - self.center[0], py - self.center[1], pz - self.center[2])
+        if self.kind == "sphere":
+            return d[0] ** 2 + d[1] ** 2 + d[2] ** 2 <= self.size[0] ** 2
+        if self.kind == "cylinder":
+            a = _AXIS_INDEX[self.axis]
+            radial2 = sum(d[i] ** 2 for i in range(3) if i != a)
+            return (np.abs(d[a]) <= self.size[1] / 2.0) & (radial2 <= self.size[0] ** 2)
+        lx, ly, lz = (e / 2.0 for e in self.size)  # half-extents
+        return (np.abs(d[0]) <= lx) & (np.abs(d[1]) <= ly) & (np.abs(d[2]) <= lz)
 
 
 @dataclass(frozen=True)
@@ -97,35 +109,10 @@ class NoiseSpec:
             raise ValueError(f"noise sigma must be >= 0 and at most {_MAX_SIGMA:g}, got {self.sigma}")
 
 
-def _pack_shapes(shapes):
-    n = len(shapes)
-    kinds = np.empty(n, dtype=np.int64)
-    centers = np.empty((n, 3), dtype=np.float64)
-    sizes = np.zeros((n, 3), dtype=np.float64)
-    axes = np.zeros(n, dtype=np.int64)
-    chis = np.empty(n, dtype=np.float64)
-    for i, s in enumerate(shapes):
-        kinds[i] = _KINDS[s.kind]
-        centers[i] = s.center
-        chis[i] = s.chi
-        axes[i] = _AXIS_INDEX[s.axis]
-        if s.kind == "sphere":
-            sizes[i, 0] = s.size[0]
-        elif s.kind == "cylinder":
-            sizes[i, 0] = s.size[0]
-            sizes[i, 1] = s.size[1] / 2.0  # store half-length
-        else:
-            sizes[i] = [e / 2.0 for e in s.size]  # store half-extents
-    return kinds, centers, sizes, axes, chis
-
-
 def make_phantom(grid: VolumeGrid, spec: PhantomSpec) -> ScalarVolume:
     """Rasterize a PhantomSpec: each voxel takes the chi of the last shape
     containing its center, or the background value."""
-    xs, ys, zs = voxel_coords(grid)
-    kinds, centers, sizes, axes, chis = _pack_shapes(spec.shapes)
-    data = _accel.rasterize_shapes(xs, ys, zs, kinds, centers, sizes, axes, chis, spec.background)
-    return ScalarVolume(grid, data)
+    return ScalarVolume(grid, _accel.rasterize_shapes(voxel_coords(grid), spec.shapes, spec.background))
 
 
 def wrap_phase(x: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's code paths: the DFT oracle
 multiplies explicit transform matrices, the erosion oracle checks voxel-pair
-distances by brute force, and the dipole oracle builds its frequency lattice
-with numpy.fft.fftfreq.
+distances by brute force, the phantom oracle tests each voxel centre against
+each shape in plain Python floats, and the dipole oracle builds its frequency
+lattice with numpy.fft.fftfreq.
 """
 
 import os
@@ -91,6 +92,26 @@ def brute_erode(mask: np.ndarray, spacing, radius: float) -> np.ndarray:
                         keep = 0.0
                         break
                 out[i, j, k] = keep
+    return out
+
+
+def brute_phantom(grid: VolumeGrid, spec) -> np.ndarray:
+    """Per-voxel containment of each voxel centre (origin at index dims//2); the last shape wins."""
+    out = np.full(grid.dims, spec.background)
+    for index in np.ndindex(*grid.dims):
+        p = [(i - n // 2) * s for i, n, s in zip(index, grid.dims, grid.spacing)]
+        for shape in spec.shapes:
+            d = [p[a] - shape.center[a] for a in range(3)]
+            if shape.kind == "sphere":
+                inside = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= shape.size[0] * shape.size[0]
+            elif shape.kind == "cylinder":
+                a = "xyz".index(shape.axis)
+                radial2 = sum(d[b] * d[b] for b in range(3) if b != a)
+                inside = abs(d[a]) <= shape.size[1] / 2 and radial2 <= shape.size[0] * shape.size[0]
+            else:
+                inside = all(abs(d[a]) <= shape.size[a] / 2 for a in range(3))
+            if inside:
+                out[index] = shape.chi
     return out
 
 

@@ -24,11 +24,7 @@ def test_residual_and_cost_numpy_same_bits_for_every_thread_count(threads):
 
 def test_rasterize_empty_shape_list():
     xs = np.linspace(-2, 2, 5)
-    out = _accel.rasterize_shapes(
-        xs, xs, xs,
-        np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty((0, 3)),
-        np.empty(0, dtype=np.int64), np.empty(0), 0.7,
-    )
+    out = _accel.rasterize_shapes((xs, xs, xs), (), 0.7)
     assert np.all(out == 0.7)
 
 

@@ -643,6 +643,27 @@ def test_chi_beyond_float32_exits_1_without_writing(tmp_path, capsys):
     assert not (tmp_path / "out.nii").exists()
 
 
+@pytest.mark.parametrize("stage", ["phantom", "simulate", "invert-ndi-history"])
+def test_stage_with_an_output_beyond_float32_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch, stage):
+    # each stage's first output can be written; a later one cannot
+    monkeypatch.chdir(tmp_path)
+    small = _phantom_config(tmp_path, dims=8, radius=2.0, mask_radius=3.5)
+    if stage == "phantom":
+        argv = ["phantom", "--config", _write_config(tmp_path, {**small, "magnitude_inside": 1e300})]
+    elif stage == "simulate":
+        _run_phantom(tmp_path, small)
+        argv = ["simulate", "--chi", "chi.nii", "--magnitude", "mag.nii", "--mask", "mask.nii",
+                "--bvec", "0,0,1", "--bvec", "0,1,0", "--sigma", "1e300", "--out-dir", "sim"]
+    else:
+        argv = ["invert", "--algo", "ndi", "--dataset", str(_small_dataset(tmp_path)), "--mask", "mask.nii",
+                "--out", "x.nii", "--ndi-step", "1e35", "--ndi-iters", "3", "--history-out", "h.csv"]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "float32" in _one_line_error(capsys)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 _SCIPY_LOADED = (
     "import json, sys; "
     "print(json.dumps([m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules]))"

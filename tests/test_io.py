@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qsmkit import ScalarVolume, VolumeGrid
-from qsmkit.io import NiftiFormatError, read_nifti, require_nifti_grid, slice_to_pgm, write_nifti
+from qsmkit.io import NiftiFormatError, read_nifti, require_nifti_grid, require_nifti_volume, slice_to_pgm, write_nifti
 
 from conftest import random_volume
 
@@ -246,6 +246,25 @@ def test_writer_rejects_values_beyond_float32_before_opening(tmp_path):
     with pytest.raises(ValueError, match="float32"):
         write_nifti(path, ScalarVolume(g, data))
     assert not path.exists()
+
+
+@pytest.mark.filterwarnings("error")  # the float32 cast must not warn
+def test_writer_keeps_values_that_round_to_the_largest_float32(tmp_path):
+    # float32's largest value plus half an ulp rounds to inf; anything below it rounds to a finite value
+    edge = 2.0**128 - 2.0**103
+    g = VolumeGrid((2, 1, 1))
+    largest = float(np.finfo(np.float32).max)
+    for sign in (1.0, -1.0):
+        volume = ScalarVolume(g, np.array([0.0, sign * np.nextafter(edge, 0.0)]))
+        require_nifti_volume(tmp_path / "edge.nii", volume)
+        write_nifti(tmp_path / "edge.nii", volume)
+        assert read_nifti(tmp_path / "edge.nii").data[1, 0, 0] == sign * largest
+        path = tmp_path / "over.nii"
+        with pytest.raises(ValueError, match="float32"):
+            require_nifti_volume(path, ScalarVolume(g, np.array([0.0, sign * edge])))
+        with pytest.raises(ValueError, match="float32"):
+            write_nifti(path, ScalarVolume(g, np.array([0.0, sign * edge])))
+        assert not path.exists()
 
 
 @pytest.mark.parametrize(

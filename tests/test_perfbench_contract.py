@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qsmkit import ScalarVolume, VolumeGrid, core
+from qsmkit import PhantomSpec, ScalarVolume, Shape, VolumeGrid, core, simulate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,7 +27,7 @@ def _load(name):
 def test_tracer_attaches():
     tracer = _load("tracer").Tracer()
     wrapped = {original.__name__ for _, _, original, _ in tracer._swaps}
-    assert {"rfftn", "irfftn", "weighted_sin_residual", "residual_and_cost"} <= wrapped
+    assert {"rfftn", "irfftn", "weighted_sin_residual", "residual_and_cost", "rasterize_shapes"} <= wrapped
 
 
 def test_machine_facts():
@@ -49,3 +49,17 @@ def test_tracer_sees_calls_through_deferred_scipy_imports():
         tracer.uninstall()
     assert window.metrics["core.fft.calls"] == 2
     assert window.metrics["core.mask_erode.calls"] == 1
+
+
+def test_traced_phantom_records_one_rasterize_call():
+    # make_phantom reaches the rasterizer through the _accel module, where the tracer swaps it
+    tracer = _load("tracer").Tracer()
+    spec = PhantomSpec((Shape("sphere", (0.0, 0.0, 0.0), (2.0,), 0.1), Shape("cuboid", (1, 0, 0), (2, 2, 2), 0.2)))
+    tracer.install()
+    try:
+        with tracer.window() as window:
+            simulate.make_phantom(VolumeGrid((8, 8, 8)), spec)
+    finally:
+        tracer.uninstall()
+    assert window.metrics["simulate.phantom.calls"] == 1
+    assert window.metrics["accel.rasterize.calls"] == 1

@@ -17,7 +17,7 @@ from qsmkit import (
 from qsmkit.core import voxel_coords
 from qsmkit.simulate import wrap_phase
 
-from conftest import EZ, ones_volume, rot_x
+from conftest import EZ, brute_phantom, ones_volume, rot_x
 
 
 def test_empty_phantom_is_background():
@@ -65,6 +65,52 @@ def test_cylinder_rasterization():
     iy_out = int(np.argmin(np.abs(ys - 11.0)))
     assert phantom[16, iy_in, 16] == 1.0
     assert phantom[16, iy_out, 16] == 0.0
+
+
+def _dyadic_specs():
+    # dyadic spacings with half-integer centres and sizes: every coordinate, offset and square
+    # is exact, so voxels on a boundary are decided by the containment rule and not by rounding
+    grids = [VolumeGrid((12, 10, 9), (0.5, 1.0, 2.0)), VolumeGrid((9, 8, 11), (2.0, 0.5, 1.0)),
+             VolumeGrid((10, 10, 10), (1.0, 1.0, 1.0))]
+    fixed = PhantomSpec(background=0.25, shapes=(
+        Shape("cuboid", (0.0, 0.0, 0.0), (4.0, 5.0, 6.0), 1.0),
+        Shape("sphere", (0.5, 0.0, 2.0), (2.0,), 2.0),
+        Shape("cylinder", (0.0, 1.5, -2.0), (1.5, 3.0), 3.0, axis="x"),
+        Shape("cylinder", (-1.0, 0.0, 0.0), (2.0, 4.0), 4.0, axis="y"),
+        Shape("cylinder", (1.0, -1.0, 0.0), (1.0, 7.0), 5.0, axis="z"),
+        Shape("sphere", (0.0, 0.0, 0.0), (0.5,), -1.0),
+    ))
+    yield from ((grid, fixed) for grid in grids)
+    rng = np.random.default_rng(20261019)
+
+    def half(lo, hi):  # a multiple of 0.5 in [lo, hi]
+        return float(rng.integers(2 * lo, 2 * hi + 1)) / 2
+
+    for _ in range(12):
+        shapes = []
+        for _ in range(int(rng.integers(1, 6))):
+            kind = str(rng.choice(["sphere", "cylinder", "cuboid"]))
+            size = tuple(half(1, 6) for _ in range({"sphere": 1, "cylinder": 2, "cuboid": 3}[kind]))
+            center = tuple(half(-4, 4) for _ in range(3))
+            shapes.append(Shape(kind, center, size, half(-4, 4), axis=str(rng.choice(list("xyz")))))
+        yield grids[int(rng.integers(len(grids)))], PhantomSpec(tuple(shapes), half(-1, 1))
+
+
+@pytest.mark.parametrize("grid, spec", list(_dyadic_specs()))
+def test_make_phantom_equals_brute_force_containment(grid, spec):
+    assert np.array_equal(make_phantom(grid, spec).data, brute_phantom(grid, spec))
+
+
+def test_shape_on_a_voxel_centre_boundary_contains_it():
+    # the oracle comparison above relies on boundaries being inclusive: check one directly
+    g = VolumeGrid((9, 9, 9), (0.5, 1.0, 2.0))
+    xs, ys, zs = voxel_coords(g)
+    spec = PhantomSpec((Shape("sphere", (0.0, 0.0, 0.0), (2.0,), 1.0),
+                        Shape("cuboid", (0.0, 0.0, 0.0), (1.0, 1.0, 4.0), 2.0)))
+    data = make_phantom(g, spec).data
+    assert xs[8] == 2.0 and data[8, 4, 4] == 1.0  # on the sphere's surface
+    assert zs[3] == -2.0 and data[4, 4, 3] == 2.0  # on both surfaces: the cuboid, last, wins
+    assert ys[5] == 1.0 and data[4, 5, 4] == 1.0  # outside the cuboid in y, inside the sphere
 
 
 def test_shape_validation():
