@@ -20,7 +20,7 @@ import numpy as np
 from .core import Acquisition, Orientation, OrientationDataset, ScalarVolume, VolumeGrid, fft_workers
 from .dipole import dipole_kernel
 from .invert import CosmosConfig, L2Config, TkdConfig, cosmos, l2_closedform, tkd
-from .io import NiftiFormatError, read_nifti, require_nifti_grid, require_nifti_volume, slice_to_pgm, write_nifti
+from .io import read_nifti, require_nifti_grid, require_nifti_volume, slice_to_pgm, write_nifti
 from .metrics import SsimConfig, data_consistency, nrmse, ssim3d
 from .ndi import NdiConfig, NdiDivergenceError, ndi_reconstruct
 from .preprocess import SmvConfig, laplacian_unwrap, smv_filter
@@ -151,15 +151,26 @@ def _load_volume(path) -> ScalarVolume:
     return read_nifti(path)
 
 
-def _write_all(outputs, out_dir=None):
-    """Write a stage's (path, volume) outputs, and first make out_dir if given, once every
-    volume passes require_nifti_volume: a refused one leaves nothing behind."""
-    for path, volume in outputs:
-        require_nifti_volume(path, volume)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    for path, volume in outputs:
-        write_nifti(path, volume)
+def _write_all(outputs, out_dir="."):
+    """Write a stage's {path: ScalarVolume or text} outputs and print one "wrote" line. Nothing
+    is written, nor out_dir made, unless every volume passes require_nifti_volume and every
+    path names a file in a directory that exists or is out_dir: a refused one leaves nothing."""
+    made = os.path.normpath(out_dir)
+    for path, value in outputs.items():
+        if isinstance(value, ScalarVolume):
+            require_nifti_volume(path, value)
+        parent, name = os.path.split(path)
+        parent = os.path.normpath(parent)
+        if not name or "\0" in path or os.path.isdir(path) or not (os.path.isdir(parent) or parent == made):
+            raise OSError(f"cannot write {path!r}: not a file name in an existing directory")
+    os.makedirs(made, exist_ok=True)
+    for path, value in outputs.items():
+        if isinstance(value, ScalarVolume):
+            write_nifti(path, value)
+        else:
+            with open(path, "w") as fh:
+                fh.write(value)
+    print(f"wrote {', '.join(outputs)}")
 
 
 def _parse_orientation(vec) -> Orientation:
@@ -228,9 +239,7 @@ def cmd_phantom(args, cfg):
         mask = make_phantom(grid, PhantomSpec(_shapes(cfg, "mask", chi=1.0)))
     magnitude = ScalarVolume(grid, cfg["magnitude_inside"] * mask.data)
 
-    _write_all([(args.out_chi, chi), (args.out_magnitude, magnitude), (args.out_mask, mask)])
-    print(f"wrote {args.out_chi}, {args.out_magnitude}, {args.out_mask}")
-    return 0
+    _write_all({args.out_chi: chi, args.out_magnitude: magnitude, args.out_mask: mask})
 
 
 def cmd_simulate(args, cfg):
@@ -248,31 +257,24 @@ def cmd_simulate(args, cfg):
     dataset = simulate_acquisition(chi, magnitude, orientations, noise, mask=mask)
 
     mask_name = f"{args.prefix}mask.nii"
-    outputs = [(mask_name, dataset.mask)]
+    outputs = {mask_name: dataset.mask}
     entries = []
     for r, entry in enumerate(dataset.entries):
         phase_name = f"{args.prefix}phase_{r:03d}.nii"
         mag_name = f"{args.prefix}magnitude_{r:03d}.nii"
-        outputs += [(phase_name, entry.phase), (mag_name, entry.magnitude)]
+        outputs |= {phase_name: entry.phase, mag_name: entry.magnitude}
         entries.append(
             {"phase": phase_name, "magnitude": mag_name, "orientation": list(entry.orientation.b)}
         )
-    _write_all([(os.path.join(args.out_dir, name), volume) for name, volume in outputs], args.out_dir)
     sidecar = {"seed": args.seed, "sigma": args.sigma, "mask": mask_name, "entries": entries}
-    sidecar_path = os.path.join(args.out_dir, f"{args.prefix}dataset.json")
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(entries)} orientation(s) and {sidecar_path}")
-    return 0
+    outputs[f"{args.prefix}dataset.json"] = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    _write_all({os.path.join(args.out_dir, name): value for name, value in outputs.items()}, args.out_dir)
 
 
 def cmd_unwrap(args, cfg):
     phase = _load_volume(args.phase)
     mask = _load_volume(args.mask)
-    write_nifti(args.out, laplacian_unwrap(phase, mask))
-    print(f"wrote {args.out}")
-    return 0
+    _write_all({args.out: laplacian_unwrap(phase, mask)})
 
 
 def cmd_smv(args, cfg):
@@ -280,10 +282,7 @@ def cmd_smv(args, cfg):
     phase = _load_volume(args.phase)
     mask = _load_volume(args.mask)
     tissue, reliable = smv_filter(phase, mask, smv_cfg)
-    outputs = [(path, v) for path, v in [(args.out, tissue), (args.reliable_mask_out, reliable)] if path]
-    _write_all(outputs)
-    print(f"wrote {', '.join(path for path, _ in outputs)}")
-    return 0
+    _write_all({args.out: tissue} | ({args.reliable_mask_out: reliable} if args.reliable_mask_out else {}))
 
 
 def _load_dataset(args, mask: ScalarVolume, phase_scale: float, mask_phase=False) -> OrientationDataset:
@@ -352,29 +351,25 @@ def cmd_invert(args, cfg):
     # NDI weights its data term by the masked magnitude and reads the phase as given
     dataset = _load_dataset(args, mask, args.phase_scale, mask_phase=algo != "ndi")
 
+    outputs = {}
     if algo == "cosmos":
-        result = ScalarVolume(dataset.grid, cosmos(dataset, solver_cfg).data * mask.data)
+        result = cosmos(dataset, solver_cfg)
     elif algo in ("tkd", "l2"):
         if dataset.n_orientations != 1:
             raise ConfigError(f"{algo} takes exactly one orientation, got {dataset.n_orientations}")
         entry = dataset.entries[0]
         solve = tkd if algo == "tkd" else l2_closedform
         result = solve(entry.phase, dipole_kernel(dataset.grid, entry.orientation), solver_cfg)
-        result = ScalarVolume(dataset.grid, result.data * mask.data)
     else:
         ndi_result = ndi_reconstruct(dataset, solver_cfg)
         result = ndi_result.chi
-
-    write_nifti(args.out, result)  # first: a chi it refuses leaves no history file either
-    if algo == "ndi" and args.history_out:
-        columns = {"cost": ndi_result.cost_history, "nrmse": ndi_result.nrmse_history}
-        columns = {name: column for name, column in columns.items() if column is not None}
-        with open(args.history_out, "w") as fh:
-            fh.write(",".join(["iteration", *columns]) + "\n")
-            for i, row in enumerate(zip(*columns.values()), start=1):
-                fh.write(",".join([str(i), *(f"{v:.17g}" for v in row)]) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+        if args.history_out:
+            columns = {"cost": ndi_result.cost_history, "nrmse": ndi_result.nrmse_history}
+            columns = {name: column for name, column in columns.items() if column is not None}
+            rows = [",".join([str(i), *(f"{v:.17g}" for v in row)])
+                    for i, row in enumerate(zip(*columns.values()), start=1)]
+            outputs[args.history_out] = "\n".join([",".join(["iteration", *columns]), *rows, ""])
+    _write_all({args.out: ScalarVolume(dataset.grid, result.data * mask.data)} | outputs)
 
 
 def cmd_metrics(args, cfg):
@@ -395,11 +390,9 @@ def cmd_metrics(args, cfg):
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_all({args.out: text + "\n"})
     else:
         print(text)
-    return 0
 
 
 def cmd_slice(args, cfg):
@@ -408,7 +401,6 @@ def cmd_slice(args, cfg):
     volume = _load_volume(args.volume)
     slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max, path=args.out)
     print(f"wrote {args.out}")
-    return 0
 
 
 # -------------------------------------------------------------------- main
@@ -512,11 +504,12 @@ def main(argv=None) -> int:
         if args.command == "phantom":  # its options live under "outputs"
             cfg = _walk(_PHANTOM, cfg, "config")
         _options(args, cfg["outputs"] if args.command == "phantom" else cfg)
-        return args.func(args, cfg)
+        args.func(args, cfg)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, NiftiFormatError, OSError, NdiDivergenceError, MemoryError) as exc:
+    except (ValueError, OSError, NdiDivergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

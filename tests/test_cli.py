@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -664,6 +665,60 @@ def test_stage_with_an_output_beyond_float32_exits_1_and_writes_nothing(tmp_path
     assert sorted(tmp_path.rglob("*")) == before
 
 
+_SIMULATE = ["simulate", "--chi", "chi.nii", "--magnitude", "mag.nii", "--mask", "mask.nii", "--bvec", "0,0,1"]
+_INVERT = ["invert", "--algo", "ndi", "--dataset", "sim/dataset.json", "--mask", "mask.nii", "--out", "x.nii",
+           "--ndi-iters", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--config", "config.json", "--out-mask", "nodir/mask.nii"],
+    ["smv", "--phase", "chi.nii", "--mask", "mask.nii", "--out", "t.nii", "--reliable-mask-out", "nodir/r.nii"],
+    [*_INVERT, "--history-out", "nodir/h.csv"],
+    [*_SIMULATE, "--prefix", "sub/", "--out-dir", "new"],
+    ["unwrap", "--phase", "chi.nii", "--mask", "mask.nii", "--out", "sim"],
+    ["phantom", "--config", "config.json", "--out-mask", ""],
+    [*_INVERT, "--history-out", "h\0.csv"],
+], ids=["missing-directory", "smv-reliable-mask", "invert-history", "simulate-prefix-directory",
+        "existing-directory", "empty-name", "null-byte"])
+def test_stage_with_an_unwritable_output_path_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    # the path is refused before the stage writes any output or makes any directory
+    monkeypatch.chdir(tmp_path)
+    _small_dataset(tmp_path)  # config.json, chi.nii, mag.nii, mask.nii and sim/
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    message = _one_line_error(capsys)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert "cannot write" in message
+
+
+@pytest.mark.parametrize("out_dir", ["sim/", "a/b"])
+def test_simulate_makes_its_out_dir_and_names_every_file_it_wrote(tmp_path, capsys, monkeypatch, out_dir):
+    monkeypatch.chdir(tmp_path)
+    _run_phantom(tmp_path, _phantom_config(tmp_path, dims=8, radius=2.0, mask_radius=3.5))
+    capsys.readouterr()
+    assert main([*_SIMULATE, "--out-dir", out_dir]) == 0
+    names = ["mask.nii", "phase_000.nii", "magnitude_000.nii", "dataset.json"]
+    written = [str(Path(out_dir) / name) for name in names]
+    assert capsys.readouterr() == (f"wrote {', '.join(written)}\n", "")
+    assert sorted(p.name for p in Path(out_dir).iterdir()) == sorted(names)
+
+
+def test_cli_writes_files_only_inside_write_all():
+    """Every stage's outputs pass _write_all's checks: no other function in cli.py calls
+    write_nifti, makes a directory, or opens a file for writing."""
+    writers = set()
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        for call in (node for node in ast.walk(top) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            mode = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+            reads = isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")
+            if name in ("write_nifti", "makedirs", "mkdir") or (name == "open" and not reads):
+                writers.add(getattr(top, "name", "<module>"))
+    assert writers == {"_write_all"}
+
+
 _SCIPY_LOADED = (
     "import json, sys; "
     "print(json.dumps([m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules]))"
@@ -981,7 +1036,7 @@ def test_fuzzed_whole_config_exits_0_1_or_2_with_one_error_line(inputs, fuzz_roo
     else:
         assert message.startswith("error: ") and message.count("\n") == 1, message
         assert "Traceback" not in message
-    if rc == 2:
+    if rc != 0:
         assert list(run_dir.iterdir()) == []
 
 
