@@ -17,7 +17,8 @@ The passes off the FFT path (the SSIM filters, the unwrap and NDI trig) run
 in one contiguous slab per FFT worker through ``for_slabs``, each slab
 computed as the whole volume would be, so the bits do not depend on the
 thread count. Mask erosion is a short chain of boolean ANDs of shifted views
-on the caller (``mask_erode``), in numpy alone.
+on the caller (``mask_erode``), in numpy alone, over the mask's bounding box;
+the SSIM filters run on the box of the voxels they score.
 
 scipy is imported on first use, on the calling thread, so a CLI stage loads
 only the scipy modules it calls (``phantom`` needs neither ``scipy.fft`` nor
@@ -343,6 +344,12 @@ def ball_offsets(spacing, radius_mm: float) -> np.ndarray:
     return dist2 <= radius_mm * radius_mm
 
 
+def _bounding_box(inside: np.ndarray):
+    """Slices spanning the True voxels of a 3D boolean array; empty if there are none."""
+    spans = [np.flatnonzero(np.any(inside, axis=tuple({0, 1, 2} - {axis}))) for axis in range(3)]
+    return tuple(slice(s[0], s[-1] + 1) if s.size else slice(0, 0) for s in spans)
+
+
 def _erode_step(a: np.ndarray, axis: int) -> np.ndarray:
     """a eroded by the run of offsets [-1, 1] along axis; the border counts as 0."""
     v = np.moveaxis(a, axis, 0)
@@ -366,7 +373,8 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
     AND of the erosions by its parts. A run [-n, n] is n steps and a step
     distributes over AND, so with G_t the AND of the y-z erosions whose x run
     is [-t, t], the result is G_0 & X(G_1 & X(G_2 & ...)), X an x step. Every
-    step ANDs shifted views of booleans, so nothing rounds.
+    step ANDs shifted views of booleans, so nothing rounds. The result lies in
+    the mask, so only the mask's bounding box is eroded, its border counting 0.
     """
     require_binary_mask(mask)
     if not 0 <= radius_mm < np.inf:
@@ -378,9 +386,11 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
     structure = ball_offsets(grid.spacing, radius_mm)
     if structure.size == 1:
         return ScalarVolume(grid, mask.data)
+    inside = mask.data > 0.5
+    box = _bounding_box(inside)
     h = (np.count_nonzero(structure, axis=2) - 1) // 2  # z half-width per column, -1 if empty
     groups = {}  # x half-width t -> G_t, the AND of the y-z erosions it applies to
-    ez = mask.data > 0.5
+    ez = inside[box]
     for k in range(h.max() + 1):
         if k:
             ez = _erode_step(ez, 2)
@@ -398,4 +408,6 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
         eroded = _erode_step(eroded, 0)
         if t in groups:
             eroded = eroded & groups[t]
-    return ScalarVolume(grid, eroded)
+    out = np.zeros(grid.dims, dtype=bool)
+    out[box] = eroded
+    return ScalarVolume(grid, out)

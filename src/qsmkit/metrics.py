@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrientationDataset, ScalarVolume, for_slabs, require_binary_mask
+from .core import OrientationDataset, ScalarVolume, _bounding_box, for_slabs, require_binary_mask
 from .dipole import dipole_kernel, forward_field
 
 __all__ = ["SsimConfig", "nrmse", "ssim3d", "data_consistency"]
@@ -23,10 +23,12 @@ class SsimConfig:
     dynamic_range: float | None = None
 
     def __post_init__(self):
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError("SSIM window must be odd and >= 3")
-        if self.gaussian_sigma <= 0 or self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("SSIM sigma and k constants must be positive")
+        if not isinstance(self.window, (int, np.integer)) or self.window < 3 or self.window % 2 == 0:
+            raise ValueError(f"SSIM window must be an odd integer >= 3, got {self.window!r}")
+        for name in ("gaussian_sigma", "k1", "k2", "dynamic_range"):
+            value = getattr(self, name)
+            if not (name == "dynamic_range" and value is None or 0 < value < np.inf):
+                raise ValueError(f"SSIM {name} must be positive and finite, got {value!r}")
 
 
 def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
@@ -70,7 +72,9 @@ def ssim3d(
     x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume, cfg: SsimConfig = SsimConfig()
 ) -> float:
     """Structural similarity with a 3D Gaussian window, averaged over in-mask
-    voxels whose window lies fully inside the volume."""
+    voxels whose window lies fully inside the volume. The filters run on the box
+    of those voxels grown by half a window: a line gives the same bits at them
+    whatever its length, and they keep their C order."""
     x.grid.require_compatible(ref.grid)
     x.grid.require_compatible(mask.grid)
     require_binary_mask(mask)
@@ -84,6 +88,7 @@ def ssim3d(
     valid &= mask.data > 0.5
     if not np.any(valid):
         raise ValueError("mask has no voxel with a full SSIM window inside the volume")
+    box = tuple(slice(s.start - half, s.stop + half) for s in _bounding_box(valid))
 
     if cfg.dynamic_range is not None:
         drange = float(cfg.dynamic_range)
@@ -99,8 +104,9 @@ def ssim3d(
     weights = np.exp(-(taps**2) / (2.0 * cfg.gaussian_sigma**2))
     weights /= weights.sum()
 
-    a = x.data
-    b = ref.data
+    a = x.data[box]
+    b = ref.data[box]
+    valid = valid[box]
     # gathered at the valid voxels first: the same operations, fewer volumes alive
     mu_a = _local_mean(a, weights)[valid]
     mu_b = _local_mean(b, weights)[valid]

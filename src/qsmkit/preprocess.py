@@ -88,17 +88,22 @@ def sphere_kernel_spectrum(grid: VolumeGrid, radius_mm: float) -> np.ndarray:
 
     The ball is built in image space around index 0 (wrapped offsets) and
     normalized to unit sum before transforming, so the DC value is exactly 1
-    and the deconvolution below inverts the same discrete operator.
+    and the deconvolution below inverts the same discrete operator. Only
+    coordinates whose square is within radius^2 can be in it: a rounded sum of
+    squares is at least each rounded square. A ball of one voxel (a high-pass
+    of 0) raises ValueError.
     """
-    xs, ys, zs = voxel_coords(grid)
-    dist2 = xs[:, None, None] ** 2 + ys[None, :, None] ** 2 + zs[None, None, :] ** 2
-    ball = (dist2 <= radius_mm * radius_mm).astype(np.float64)
-    total = ball.sum()
-    if total == 0:
-        raise ValueError("SMV radius smaller than half a voxel")
-    ball /= total
-    shifts = [-(n // 2) for n in grid.dims]
-    ball = np.roll(ball, shifts, axis=(0, 1, 2))
+    coords = voxel_coords(grid)
+    r2 = radius_mm * radius_mm
+    near = [np.flatnonzero(c**2 <= r2) for c in coords]
+    xs, ys, zs = (c[i] for c, i in zip(coords, near))
+    inside = xs[:, None, None] ** 2 + ys[None, :, None] ** 2 + zs[None, None, :] ** 2 <= r2
+    count = np.count_nonzero(inside)
+    if count == 1:
+        raise ValueError(f"SMV radius {radius_mm!r} mm reaches no voxel but the centre "
+                         f"(smallest spacing {min(grid.spacing)!r} mm)")
+    ball = np.zeros(grid.dims)
+    ball[np.ix_(*(i - n // 2 for i, n in zip(near, grid.dims)))] = inside / count
     return rfft3(ball)
 
 
@@ -119,8 +124,8 @@ def smv_filter(phase: ScalarVolume, mask: ScalarVolume, cfg: SmvConfig = SmvConf
     spec = rfft3(reliable.data * h)
     keep = np.abs(high_pass) > cfg.tsvd_threshold
     with np.errstate(divide="ignore", invalid="ignore"):
-        deconvolved = spec / high_pass
-    spec = np.where(keep, deconvolved, 0.0)
+        spec /= high_pass
+    spec[~keep] = 0
     tissue = irfft3(spec, grid.dims)
     tissue *= reliable.data
     return ScalarVolume(grid, tissue), reliable

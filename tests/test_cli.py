@@ -624,6 +624,18 @@ def test_smv_radius_past_the_volume_erodes_everything(tmp_path, capsys):
     assert not np.any(read_nifti(tmp_path / "tissue.nii").data)
 
 
+def test_smv_radius_reaching_no_neighbour_exits_1_and_writes_nothing(tmp_path, capsys):
+    _run_phantom(tmp_path, _phantom_config(tmp_path, dims=8, radius=2.0, mask_radius=3.5))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    rc = main(["smv", "--phase", str(tmp_path / "chi.nii"), "--mask", str(tmp_path / "mask.nii"),
+               "--out", str(tmp_path / "tissue.nii"), "--reliable-mask-out",
+               str(tmp_path / "reliable.nii"), "--smv-radius", "0.5"])
+    assert rc == 1
+    assert "SMV radius 0.5 mm" in _one_line_error(capsys)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_malformed_qsm_threads_exits_2(tmp_path, capsys, monkeypatch):
     dataset = _small_dataset(tmp_path)
     capsys.readouterr()

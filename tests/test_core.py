@@ -319,18 +319,25 @@ def test_mask_erode_radius_just_under_the_extent_matches_binary_erosion(dims, sp
 def _erosion_cases(draw):
     """A grid of 1-24 voxels per axis at 0.5-2 mm, a radius of 0-6 mm (often a
     whole number of voxels along one axis, where dist^2 ties the radius), and a
-    random or all-ones mask."""
+    random, all-ones or empty mask over the volume or confined to a random
+    sub-box."""
     dims = draw(st.tuples(*[st.integers(1, 24)] * 3))
     spacing = draw(st.tuples(*[st.floats(0.5, 2.0)] * 3))
     step = draw(st.sampled_from(spacing))
     whole_voxels = st.integers(0, 12).map(lambda m: m * step).filter(lambda r: r <= 6.0)
     radius = draw(st.floats(0.0, 6.0) | whole_voxels)
-    holes = draw(st.sampled_from([0.0, 0.005, 0.05, 0.3]))
+    holes = draw(st.sampled_from([0.0, 0.005, 0.05, 0.3, 1.0]))
     inside = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(dims) >= holes
+    if draw(st.booleans()):  # confined to a random sub-box
+        lo = [draw(st.integers(0, n - 1)) for n in dims]
+        box = tuple(slice(a, draw(st.integers(a + 1, n))) for a, n in zip(lo, dims))
+        confined = np.zeros(dims, dtype=bool)
+        confined[box] = inside[box]
+        inside = confined
     return VolumeGrid(dims, spacing), radius, inside
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(case=_erosion_cases())
 def test_mask_erode_equals_binary_erosion(case):
     g, radius, inside = case

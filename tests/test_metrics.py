@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from qsmkit import (
     Acquisition,
@@ -111,6 +114,19 @@ def test_ssim_errors():
         SsimConfig(k1=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["gaussian_sigma", "k1", "k2", "dynamic_range"])
+def test_ssim_config_refuses_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SsimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("window", [7.0, "7", None])
+def test_ssim_config_refuses_a_window_that_is_not_an_integer(window):
+    with pytest.raises(ValueError, match="window"):
+        SsimConfig(window=window)
+
+
 def test_data_consistency_trivials(grid16):
     chi = _structured(grid16)
     ds = simulate_acquisition(chi, ones_volume(grid16), [EZ, rot_x(25)], NoiseSpec(0.0, 0))
@@ -163,3 +179,95 @@ def test_ssim_same_bits_for_every_thread_count(threads, monkeypatch, dims, spaci
     got = ssim3d(x, ref, mask)
     monkeypatch.setenv("QSM_THREADS", "1")
     assert np.float64(got).tobytes() == np.float64(ssim3d(x, ref, mask)).tobytes()
+
+
+def _full_grid_ssim(x, ref, mask, cfg=SsimConfig()):
+    """ssim3d with every filter pass over the whole volume."""
+    half = cfg.window // 2
+    dims = x.shape
+    valid = np.zeros(dims, dtype=bool)
+    valid[half : dims[0] - half, half : dims[1] - half, half : dims[2] - half] = True
+    valid &= mask > 0.5
+    rv = ref[mask > 0.5]
+    drange = cfg.dynamic_range if cfg.dynamic_range is not None else float(rv.max() - rv.min())
+    c1 = (cfg.k1 * drange) ** 2
+    c2 = (cfg.k2 * drange) ** 2
+    taps = np.arange(cfg.window, dtype=np.float64) - half
+    weights = np.exp(-(taps**2) / (2.0 * cfg.gaussian_sigma**2))
+    weights /= weights.sum()
+
+    def local_mean(data):
+        for axis in range(3):
+            data = ndimage.correlate1d(data, weights, axis=axis, mode="constant")
+        return data[valid]
+
+    mu_a = local_mean(x)
+    mu_b = local_mean(ref)
+    var_a = local_mean(x * x) - mu_a * mu_a
+    var_b = local_mean(ref * ref) - mu_b * mu_b
+    cov = local_mean(x * ref) - mu_a * mu_b
+    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return float(ssim_map.mean())
+
+
+@st.composite
+def _ssim_cases(draw):
+    """Volumes of 7-24 voxels per axis with a mask of random density, confined
+    to a random sub-box, of one voxel, or on the faces of the scored region;
+    the dynamic range is taken from the reference or given."""
+    dims = draw(st.tuples(*[st.integers(7, 24)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["density", "sub-box", "one voxel", "valid border"]))
+    mask = np.zeros(dims, dtype=bool)
+    if kind == "density":
+        mask = rng.random(dims) < draw(st.floats(0.01, 1.0))
+    elif kind == "sub-box":
+        lo = [draw(st.integers(0, n - 1)) for n in dims]
+        box = tuple(slice(a, draw(st.integers(a + 1, n))) for a, n in zip(lo, dims))
+        mask[box] = rng.random(mask[box].shape) < 0.7
+    elif kind == "one voxel":
+        mask[tuple(draw(st.integers(3, n - 4)) for n in dims)] = True
+    else:
+        axis = draw(st.integers(0, 2))
+        face = draw(st.sampled_from([3, dims[axis] - 4]))
+        np.moveaxis(mask, axis, 0)[face] = rng.random(np.moveaxis(mask, axis, 0)[face].shape) < 0.5
+        mask[3, 3, 3] = mask[-4, -4, -4] = True
+    x = rng.standard_normal(dims)
+    ref = x + draw(st.floats(0.0, 2.0)) * rng.standard_normal(dims)
+    given_range = st.floats(0.5, 8.0)
+    cfg = SsimConfig(dynamic_range=draw(given_range if kind == "one voxel" else st.none() | given_range))
+    return VolumeGrid(dims), x, ref, mask.astype(float), cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ssim_cases())
+def test_ssim_equals_the_full_grid_formula(case):
+    g, x, ref, mask, cfg = case
+    volumes = ScalarVolume(g, x), ScalarVolume(g, ref), ScalarVolume(g, mask)
+    if not np.any(mask[3:-3, 3:-3, 3:-3]):
+        with pytest.raises(ValueError, match="full SSIM window"):
+            ssim3d(*volumes, cfg)
+        return
+    assume(cfg.dynamic_range is not None or np.ptp(ref[mask > 0.5]) > 0)
+    got = ssim3d(*volumes, cfg)
+    assert np.float64(got).tobytes() == np.float64(_full_grid_ssim(x, ref, mask, cfg)).tobytes()
+
+
+def test_ssim_filters_only_the_box_of_the_scored_voxels(monkeypatch):
+    g = VolumeGrid((32, 32, 32))
+    mask = np.zeros(g.dims)
+    mask[11:21, 11:21, 11:21] = 1.0  # its scored voxels grow by 3 per side to 16^3
+    rng = np.random.default_rng(44)
+    x, ref = random_volume(g, rng), random_volume(g, rng)
+    shapes = []
+    correlate1d = ndimage.correlate1d
+
+    def recording(data, *args, **kwargs):
+        shapes.append(np.shape(data))
+        return correlate1d(data, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "correlate1d", recording)
+    ssim3d(x, ref, ScalarVolume(g, mask))
+    assert len(shapes) == 15 and set(shapes) == {(16, 16, 16)}

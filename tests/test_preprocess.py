@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsmkit import (
     ScalarVolume,
@@ -11,7 +13,7 @@ from qsmkit import (
     smv_filter,
 )
 from qsmkit import core
-from qsmkit.core import voxel_coords
+from qsmkit.core import rfft3, voxel_coords
 from qsmkit.preprocess import sphere_kernel_spectrum
 from qsmkit.simulate import wrap_phase
 
@@ -94,6 +96,54 @@ def test_sphere_kernel_unit_dc():
     g = VolumeGrid((32, 32, 32), (1.0, 1.2, 0.9))
     s = sphere_kernel_spectrum(g, 5.0)
     assert abs(s[0, 0, 0] - 1.0) < 1e-13
+
+
+def _full_grid_sphere(grid, radius_mm):
+    """sphere_kernel_spectrum's ball with distances over the whole grid, rolled
+    to index 0, and its voxel count."""
+    ball = (_centered_r2(grid) <= radius_mm * radius_mm).astype(np.float64)
+    count = ball.sum()
+    ball /= count
+    return rfft3(np.roll(ball, [-(n // 2) for n in grid.dims], axis=(0, 1, 2))), count
+
+
+@st.composite
+def _sphere_cases(draw):
+    """A grid of 1-24 voxels per axis at 0.3-2.5 mm and a radius of 0.2-12 mm:
+    any, a whole number of voxels along one axis (where dist^2 ties radius^2),
+    or past half the extent of one axis."""
+    dims = draw(st.tuples(*[st.integers(1, 24)] * 3))
+    spacing = draw(st.tuples(*[st.floats(0.3, 2.5)] * 3))
+    axis = draw(st.integers(0, 2))
+    whole_voxels = st.integers(1, 40).map(lambda m: m * spacing[axis])
+    past_half = st.floats(0.5, 1.5).map(lambda f: f * dims[axis] * spacing[axis])
+    radius = draw(st.floats(0.2, 12.0) | (whole_voxels | past_half).filter(lambda r: 0.2 <= r <= 12.0))
+    return VolumeGrid(dims, spacing), radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sphere_cases())
+# squares that underflow to 0 tie radius^2 at coordinates past the radius
+@example(case=(VolumeGrid((5, 6, 7), (1e-170, 2e-170, 3e-170)), 0.5e-170))
+def test_sphere_kernel_equals_the_full_grid_formula(case):
+    g, radius = case
+    want, count = _full_grid_sphere(g, radius)
+    if count == 1:
+        with pytest.raises(ValueError, match="reaches no voxel but the centre"):
+            sphere_kernel_spectrum(g, radius)
+    else:
+        assert sphere_kernel_spectrum(g, radius).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.99])
+def test_smv_radius_reaching_no_neighbour_is_refused(radius):
+    # the ball would be its centre voxel alone: 1 - sphere mean is 0 at every frequency
+    g = VolumeGrid((12, 12, 12))
+    phase = ScalarVolume(g, np.random.default_rng(45).standard_normal(g.dims))
+    with pytest.raises(ValueError, match=rf"SMV radius {radius} mm .* spacing 1\.0 mm"):
+        smv_filter(phase, ones_volume(g), SmvConfig(radius, 0.05))
+    tissue, _ = smv_filter(phase, ones_volume(g), SmvConfig(1.0, 0.05))
+    assert np.any(tissue.data)
 
 
 def test_smv_zero_phase():
