@@ -4,7 +4,8 @@ Every command is deterministic given its config (seeds included). Exit codes:
 0 success, 2 usage/config errors, 1 runtime failures. Each option is declared
 once, in _COMMANDS, and ``--config file.json`` may set it under its flag's name
 with "_" for "-" (flags win); structured inputs (grid, shapes, orientation
-lists) live in the config file. QSM_THREADS caps internal parallelism (0 = auto).
+lists) live in the config file. _walk reads options, nested config, --bvec and sidecars;
+_write_all writes every stage's outputs. QSM_THREADS caps internal parallelism (0 = auto).
 """
 
 from __future__ import annotations
@@ -88,22 +89,6 @@ def _converted(kind, value, what):
 _REQUIRED = object()  # the default of an option or a config key that must be given
 
 
-def _options(args, cfg):
-    """Set each of args.options from its flag, else from cfg through its type, else its default.
-
-    A value the type rejects, or a missing required option, is a ConfigError.
-    """
-    for key, kind, default, *_ in args.options:
-        if getattr(args, key) is not None:
-            continue
-        if key in cfg:
-            setattr(args, key, _converted(kind, cfg[key], f"config {key!r}"))
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        else:
-            setattr(args, key, default)
-
-
 def _config(kind, what, /, **values):
     """kind(**values); a value kind rejects is a ConfigError naming what."""
     try:
@@ -122,8 +107,9 @@ class _List:
 def _walk(schema, value, where, path=""):
     """value read by schema: a leaf type (a flag type such as _finite), a _List, or a dict of
     key -> (schema, default) for a JSON object, whose undeclared keys are kept. A default is
-    read like a given value; _REQUIRED marks a key that must be given, None one that may be
-    absent or null. A bad value is a ConfigError naming where and its JSON path."""
+    read like a given value; _REQUIRED marks a key that must be given. A key with default None
+    reads as None when absent, or when null if its schema is an object; a null leaf is refused.
+    A bad value is a ConfigError naming where and its JSON path."""
     at = f"{where} {path}" if path else where
     if isinstance(schema, dict):
         if not isinstance(value, dict):
@@ -134,7 +120,8 @@ def _walk(schema, value, where, path=""):
             if given is _REQUIRED:
                 raise ConfigError(f"{at}: missing {key!r}")
             nested = f"{path}.{key}".lstrip(".")
-            out[key] = None if given is None and default is None else _walk(field, given, where, nested)
+            absent = key not in value or given is None and isinstance(field, dict)
+            out[key] = None if absent and default is None else _walk(field, given, where, nested)
         return out
     if isinstance(schema, _List):
         if schema.lone and not isinstance(value, list):
@@ -152,7 +139,7 @@ def _load_volume(path) -> ScalarVolume:
 
 
 def _write_all(outputs, out_dir="."):
-    """Write a stage's {path: ScalarVolume or text} outputs and print one "wrote" line. Nothing
+    """Write a stage's {path: ScalarVolume, text or bytes} outputs and print one "wrote" line. Nothing
     is written, nor out_dir made, unless every volume passes require_nifti_volume and every
     path names a file in a directory that exists or is out_dir: a refused one leaves nothing."""
     made = os.path.normpath(out_dir)
@@ -168,7 +155,7 @@ def _write_all(outputs, out_dir="."):
         if isinstance(value, ScalarVolume):
             write_nifti(path, value)
         else:
-            with open(path, "w") as fh:
+            with open(path, "wb" if isinstance(value, bytes) else "w") as fh:
                 fh.write(value)
     print(f"wrote {', '.join(outputs)}")
 
@@ -190,10 +177,6 @@ def _parse_orientation(vec) -> Orientation:
     return Orientation.from_vector(arr)
 
 
-def _parse_bvecs(bvecs) -> list[Orientation]:
-    return [_converted(_parse_orientation, b.split(","), f"--bvec[{i}]") for i, b in enumerate(bvecs)]
-
-
 # The nested config values and the dataset sidecar, read by _walk.
 _SHAPES = {"shapes": (_List({
     "kind": (_text, _REQUIRED),
@@ -207,7 +190,7 @@ _PHANTOM = {
     "phantom": ({**_SHAPES, "background": (_finite, 0.0)}, {}),
     "mask": (_SHAPES, None),  # absent or null: an all-ones mask
     "magnitude_inside": (_finite, 1.0),
-    "outputs": ({}, {}),  # phantom's options
+    "outputs": ({}, {}),  # phantom's options, read by main
 }
 _ORIENTATIONS = _List(_parse_orientation, nonempty=True)
 _SIDECAR = {"entries": (_List({
@@ -243,12 +226,9 @@ def cmd_phantom(args, cfg):
 
 
 def cmd_simulate(args, cfg):
-    if args.bvec:
-        orientations = _parse_bvecs(args.bvec)
-    elif "orientations" in cfg:
-        orientations = _walk(_ORIENTATIONS, cfg["orientations"], "config", "orientations")
-    else:
+    if not args.bvec and "orientations" not in cfg:
         raise ConfigError("no orientations given (--bvec or config 'orientations')")
+    orientations = args.bvec or _walk(_ORIENTATIONS, cfg["orientations"], "config", "orientations")
     chi = _load_volume(args.chi)
     magnitude = _load_volume(args.magnitude)
     mask = _load_volume(args.mask)
@@ -305,7 +285,7 @@ def _load_dataset(args, mask: ScalarVolume, phase_scale: float, mask_phase=False
         magnitudes = args.magnitude or [None] * len(phases)
         if len(magnitudes) != len(phases):
             raise ConfigError(f"{len(phases)} --phase flags but {len(magnitudes)} --magnitude flags")
-        sources = zip(phases, magnitudes, _parse_bvecs(bvecs))
+        sources = zip(phases, magnitudes, bvecs)
 
     acquisitions = []
     for phase_path, magnitude_path, orientation in sources:
@@ -399,8 +379,7 @@ def cmd_slice(args, cfg):
     if args.axis not in ("x", "y", "z"):
         raise ConfigError(f"axis must be x, y or z, got {args.axis!r}")
     volume = _load_volume(args.volume)
-    slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max, path=args.out)
-    print(f"wrote {args.out}")
+    _write_all({args.out: slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max)})
 
 
 # -------------------------------------------------------------------- main
@@ -410,7 +389,7 @@ _PHASE_IN_OUT = [("phase", _text, _REQUIRED), ("mask", _text, _REQUIRED), ("out"
 
 # Each subcommand: its function, its help, its options and its repeatable
 # flags. An option is (config key, type, default[, help]); its flag is the key
-# with "-" for "_", and _options resolves it. Repeatable flags have no config key.
+# with "-" for "_", and main reads it with _walk. Repeatable flags have no config key.
 _COMMANDS = {
     "phantom": (cmd_phantom, "rasterize ground-truth chi, magnitude template, and mask", [
         ("out_chi", _text, "chi.nii"),
@@ -486,7 +465,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, options, repeated) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, options=options)
+        p.set_defaults(func=func, schema={key: (kind, default) for key, kind, default, *_ in options})
         p.add_argument("--config", help="JSON config merged with flags (flags win)")
         for key, kind, _, *help_ in options:
             p.add_argument("--" + key.replace("_", "-"), type=kind, help=help_[0] if help_ else None)
@@ -501,9 +480,17 @@ def main(argv=None) -> int:
     try:
         _config(fft_workers, "environment")  # a malformed QSM_THREADS, before any work
         cfg = _load_json_object(args.config, "config") if args.config is not None else {}
-        if args.command == "phantom":  # its options live under "outputs"
-            cfg = _walk(_PHANTOM, cfg, "config")
-        _options(args, cfg["outputs"] if args.command == "phantom" else cfg)
+        flags = {key: getattr(args, key) for key in args.schema if getattr(args, key) is not None}
+        if args.command != "phantom":
+            cfg = options = _walk(args.schema, cfg | flags, "options")
+        else:  # its options live under "outputs", and flags go there only if that is an object
+            if isinstance(outputs := cfg.get("outputs", {}), dict):
+                cfg = {**cfg, "outputs": outputs | flags}
+            cfg = _walk({**_PHANTOM, "outputs": (args.schema, {})}, cfg, "config")
+            options = cfg["outputs"]
+        vars(args).update({key: options[key] for key in args.schema})  # never a key such as "func"
+        if getattr(args, "bvec", None):
+            args.bvec = _walk(_ORIENTATIONS, [b.split(",") for b in args.bvec], "--bvec")
         args.func(args, cfg)
         return 0
     except ConfigError as exc:

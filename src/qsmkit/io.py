@@ -1,10 +1,11 @@
-"""Minimal NIfTI-1 volume IO and PGM slice export.
+"""Minimal NIfTI-1 volume IO and PGM slice encoding.
 
 Only the subset needed by the pipeline is supported and anything else is
 rejected loudly: single-file little-endian NIfTI-1 ("n+1"), 3D, float32 or
 float64 data, pixdim spacing, scl_slope/scl_inter applied on load. Files are
 written as float32 with vox_offset 352. Data is stored x-fastest, matching
-the volume layout convention.
+the volume layout convention. A slice becomes the bytes of a binary PGM file,
+for the caller to write.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .core import ScalarVolume, VolumeGrid
 
 __all__ = ["NiftiFormatError", "read_nifti", "require_nifti_grid", "require_nifti_volume", "write_nifti",
-           "write_pgm", "slice_to_pgm"]
+           "slice_to_pgm"]
 
 _HEADER_SIZE = 348
 _MAGIC_SINGLE = b"n+1\x00"
@@ -139,20 +140,12 @@ def read_nifti(path) -> ScalarVolume:
         raise NiftiFormatError(f"{path}: {exc}") from exc
 
 
-def write_pgm(path, pixels: np.ndarray):
-    """Write an 8-bit binary PGM (P5) image; pixels are (rows, cols) uint8."""
-    rows, cols = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(pixels.astype(np.uint8).tobytes(order="C"))
-
-
 _SLICE_PLANES = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
 
 
-def slice_to_pgm(volume: ScalarVolume, axis: str, index: int, window_min: float, window_max: float, path):
-    """Export one slice as grayscale PGM, mapping [window_min, window_max]
-    linearly to [0, 255] with clamping (round half-up).
+def slice_to_pgm(volume: ScalarVolume, axis: str, index: int, window_min: float, window_max: float) -> bytes:
+    """One slice as the bytes of an 8-bit binary PGM (P5) file, mapping
+    [window_min, window_max] linearly to [0, 255] with clamping (round half-up).
 
     Rows run top-to-bottom along the increasing second in-plane axis.
     """
@@ -165,5 +158,5 @@ def slice_to_pgm(volume: ScalarVolume, axis: str, index: int, window_min: float,
         raise ValueError("window_max must exceed window_min")
     plane = np.take(volume.data, index, axis=ax)  # (first in-plane, second in-plane)
     normalized = np.clip((plane - window_min) / (window_max - window_min), 0.0, 1.0)
-    pixels = np.floor(normalized * 255.0 + 0.5).astype(np.uint8)
-    write_pgm(path, pixels.T)  # rows: second in-plane axis
+    pixels = np.floor(normalized * 255.0 + 0.5).astype(np.uint8).T  # rows: second in-plane axis
+    return f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii") + pixels.tobytes(order="C")

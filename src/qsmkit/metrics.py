@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,36 @@ class SsimConfig:
             value = getattr(self, name)
             if not (name == "dynamic_range" and value is None or 0 < value < np.inf):
                 raise ValueError(f"SSIM {name} must be positive and finite, got {value!r}")
+        self._weights()
+        if self.dynamic_range is not None:
+            self._constants(float(self.dynamic_range))
+
+    def _weights(self) -> np.ndarray:
+        """The normalized 1D Gaussian window; a ValueError unless its weights are finite."""
+        taps = np.arange(self.window, dtype=np.float64) - self.window // 2
+        with np.errstate(all="ignore"):  # a sigma whose square underflows gives 0/0, refused below
+            weights = np.exp(-(taps**2) / (2.0 * _square(self.gaussian_sigma)))
+            weights /= weights.sum()
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"SSIM gaussian_sigma {self.gaussian_sigma!r} gives non-finite window weights")
+        return weights
+
+    def _constants(self, drange: float) -> tuple[float, float]:
+        """SSIM's (c1, c2) = ((k1 * drange)**2, (k2 * drange)**2); a ValueError unless both are
+        positive and finite."""
+        c1, c2 = _square(self.k1 * drange), _square(self.k2 * drange)
+        if not (0 < c1 < math.inf and 0 < c2 < math.inf):
+            raise ValueError(f"SSIM c1 {c1!r} and c2 {c2!r} from dynamic_range {drange!r} must be "
+                             "positive and finite")
+        return c1, c2
+
+
+def _square(x):
+    """x**2, or inf where Python's float power overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
@@ -41,6 +72,8 @@ def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
     x.grid.require_compatible(mask.grid)
     require_binary_mask(mask)
     inside = mask.data > 0.5
+    if not inside.any():  # before any mean: the mean of nothing is nan, with warnings
+        raise ValueError("mask is empty: NRMSE needs at least one voxel inside it")
     xv = x.data[inside]
     rv = ref.data[inside]
     xv = xv - xv.mean()
@@ -97,12 +130,8 @@ def ssim3d(
         drange = float(rv.max() - rv.min())
     if drange <= 0:
         raise ValueError("dynamic range must be positive (constant reference?)")
-    c1 = (cfg.k1 * drange) ** 2
-    c2 = (cfg.k2 * drange) ** 2
-
-    taps = np.arange(cfg.window, dtype=np.float64) - half
-    weights = np.exp(-(taps**2) / (2.0 * cfg.gaussian_sigma**2))
-    weights /= weights.sum()
+    c1, c2 = cfg._constants(drange)
+    weights = cfg._weights()
 
     a = x.data[box]
     b = ref.data[box]

@@ -51,8 +51,8 @@ class NdiConfig:
             raise ValueError("step size must be positive and finite")
         if not (self.lam >= 0 and np.isfinite(self.lam)):
             raise ValueError("lambda must be finite and >= 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True, eq=False)

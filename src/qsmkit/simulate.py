@@ -107,6 +107,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.sigma <= _MAX_SIGMA:
             raise ValueError(f"noise sigma must be >= 0 and at most {_MAX_SIGMA:g}, got {self.sigma}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
 
 
 def make_phantom(grid: VolumeGrid, spec: PhantomSpec) -> ScalarVolume:

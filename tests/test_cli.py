@@ -262,6 +262,18 @@ def test_metrics_reports_json_with_mask_name(tmp_path, capsys):
     assert 0.0 <= report["nrmse"] <= 2.0
 
 
+@pytest.mark.filterwarnings("error")  # a warning would print lines of its own on the CLI's stderr
+def test_metrics_on_an_empty_mask_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run_phantom(tmp_path, _phantom_config(tmp_path, dims=16, radius=3.0, mask_radius=6.0))
+    write_nifti(tmp_path / "empty.nii", ScalarVolume.zeros(VolumeGrid((16, 16, 16))))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "empty.nii", "--out", "r.json"]) == 1
+    assert "mask is empty" in _one_line_error(capsys)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_slice_command(tmp_path):
     _run_phantom(tmp_path)
     out = tmp_path / "s.pgm"
@@ -879,6 +891,46 @@ def test_option_of_the_wrong_json_type_exits_2(tmp_path, inputs, capsys, monkeyp
         assert "Traceback" not in _one_line_error(capsys)
         assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
 
+
+
+def test_flag_wins_over_a_config_value_that_is_never_read(tmp_path, capsys, monkeypatch):
+    """A config value that a flag replaces is not read, so a value its type refuses does no harm."""
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, {"grid": {"dims": [8, 8, 8]}, "outputs": {"out_chi": 5}}, "p.json")
+    _write_config(tmp_path, {"out": 7}, "u.json")
+    assert main(["phantom", "--config", "p.json", "--out-chi", "c.nii"]) == 0
+    assert main(["unwrap", "--config", "u.json", "--phase", "c.nii", "--mask", "mask.nii", "--out", "u.nii"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "c.nii").exists() and (tmp_path / "u.nii").exists()
+
+
+def test_phantom_null_mask_writes_an_all_ones_mask(tmp_path):
+    _run_phantom(tmp_path, {**_phantom_config(tmp_path, dims=8, radius=2.0), "mask": None})
+    assert np.all(read_nifti(tmp_path / "mask.nii").data == 1.0)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_undeclared_config_keys_named_like_parser_attributes_are_ignored(
+        tmp_path, inputs, capsys, monkeypatch, command):
+    undeclared = dict.fromkeys(["func", "schema", "options", "command"], 5)
+    cfg = dict(_valid_config(command, "ndi", inputs), **undeclared)
+    assert _run_config(command, cfg, tmp_path / "run", monkeypatch) == 0
+    assert capsys.readouterr().err == ""
+
+
+_REQUIRED_OPTIONS = [(command, key) for command, row in cli._COMMANDS.items()
+                     for key, _, default, *_ in row[2] if default is cli._REQUIRED]
+
+
+@pytest.mark.parametrize("command, key", _REQUIRED_OPTIONS, ids=[f"{c}-{k}" for c, k in _REQUIRED_OPTIONS])
+def test_missing_required_option_exits_2_naming_it(tmp_path, inputs, capsys, monkeypatch, command, key):
+    cfg = _valid_config(command, "ndi", inputs)
+    del cfg[key]
+    capsys.readouterr()
+    assert _run_config(command, cfg, tmp_path / "run", monkeypatch) == 2
+    err = _one_line_error(capsys)
+    assert "missing" in err and ("--" + key.replace("_", "-") in err or repr(key) in err), err
+    assert [p.name for p in (tmp_path / "run").iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -189,53 +189,47 @@ def test_mutated_header_gives_a_volume_or_nifti_format_error(tmp_path, mutations
 # ------------------------------------------------------------------- PGM
 
 
-def test_slice_constant_maps_to_midpoint(tmp_path):
+def test_slice_constant_maps_to_midpoint():
     g = VolumeGrid((8, 8, 8))
     v = ScalarVolume.full(g, 5.0)
-    out = tmp_path / "s.pgm"
-    slice_to_pgm(v, "z", 3, 0.0, 10.0, out)
-    blob = out.read_bytes()
+    blob = slice_to_pgm(v, "z", 3, 0.0, 10.0)
     assert blob.startswith(b"P5\n8 8\n255\n")
     assert set(blob[len(b"P5\n8 8\n255\n") :]) == {128}
 
 
-def test_slice_clamps_window(tmp_path):
+def test_slice_clamps_window():
     g = VolumeGrid((4, 4, 4))
     data = np.zeros(g.dims)
     data[0, 0, 0] = -10.0  # below window -> 0
     data[1, 0, 0] = 10.0  # above window -> 255
     v = ScalarVolume(g, data)
-    out = tmp_path / "c.pgm"
-    slice_to_pgm(v, "z", 0, -1.0, 1.0, out)
-    pixels = np.frombuffer(out.read_bytes().split(b"\n", 3)[3], dtype=np.uint8).reshape(4, 4)
+    pixels = np.frombuffer(slice_to_pgm(v, "z", 0, -1.0, 1.0).split(b"\n", 3)[3], dtype=np.uint8).reshape(4, 4)
     # row = y, column = x
     assert pixels[0, 0] == 0
     assert pixels[0, 1] == 255
     assert pixels[1, 1] == 128  # value 0 at window midpoint
 
 
-def test_slice_dimensions_and_orientation(tmp_path):
+def test_slice_dimensions_and_orientation():
     g = VolumeGrid((6, 4, 5))
     data = np.zeros(g.dims)
     data[2, 3, 1] = 1.0
     v = ScalarVolume(g, data)
-    out = tmp_path / "d.pgm"
-    slice_to_pgm(v, "z", 1, 0.0, 1.0, out)
-    header, rest = out.read_bytes().split(b"\n255\n", 1)
+    header, rest = slice_to_pgm(v, "z", 1, 0.0, 1.0).split(b"\n255\n", 1)
     assert header == b"P5\n6 4"
     pixels = np.frombuffer(rest, dtype=np.uint8).reshape(4, 6)
     assert pixels[3, 2] == 255  # row y=3, column x=2
 
 
-def test_slice_errors(tmp_path):
+def test_slice_errors():
     g = VolumeGrid((4, 4, 4))
     v = ScalarVolume.zeros(g)
     with pytest.raises(ValueError):
-        slice_to_pgm(v, "z", 7, 0.0, 1.0, tmp_path / "x.pgm")
+        slice_to_pgm(v, "z", 7, 0.0, 1.0)
     with pytest.raises(ValueError):
-        slice_to_pgm(v, "w", 0, 0.0, 1.0, tmp_path / "x.pgm")
+        slice_to_pgm(v, "w", 0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        slice_to_pgm(v, "z", 0, 1.0, 1.0, tmp_path / "x.pgm")
+        slice_to_pgm(v, "z", 0, 1.0, 1.0)
 
 
 def test_writer_rejects_values_beyond_float32_before_opening(tmp_path):

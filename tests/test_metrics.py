@@ -66,6 +66,12 @@ def test_nrmse_zero_reference_rejected(grid16):
         nrmse(ones_volume(grid16), ScalarVolume.full(grid16, 3.0), mask)  # constant ref
 
 
+@pytest.mark.filterwarnings("error")  # the mean of an empty selection warns before it is nan
+def test_nrmse_refuses_an_empty_mask(grid16):
+    with pytest.raises(ValueError, match="mask is empty"):
+        nrmse(_structured(grid16), _structured(grid16), ScalarVolume.zeros(grid16))
+
+
 def test_ssim_identity_is_exactly_one():
     g = VolumeGrid((24, 24, 24))
     ref = _structured(g)
@@ -112,6 +118,14 @@ def test_ssim_errors():
         SsimConfig(window=6)
     with pytest.raises(ValueError):
         SsimConfig(k1=0.0)
+    # finite values whose window weights or constants are not: sigma**2 underflows, c1 overflows
+    with pytest.raises(ValueError, match="gaussian_sigma"):
+        SsimConfig(gaussian_sigma=1e-200)
+    with pytest.raises(ValueError, match="dynamic_range"):
+        SsimConfig(dynamic_range=1e200)
+    wide = ScalarVolume(g, 1e200 * _structured(g).data)
+    with pytest.raises(ValueError, match="dynamic_range"):
+        ssim3d(wide, wide, ones_volume(g))  # the range taken from the reference
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

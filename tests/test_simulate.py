@@ -124,6 +124,9 @@ def test_shape_validation():
         Shape("cuboid", (0, 0, 0), (1.0, 2.0), 0.1)
     with pytest.raises(ValueError):
         NoiseSpec(sigma=-0.1)
+    with pytest.raises(ValueError, match="seed"):
+        NoiseSpec(sigma=0.1, seed=1.5)
+    assert NoiseSpec(sigma=0.1, seed=np.int64(7)).seed == 7
     for center, size, chi in [((np.nan, 0, 0), (2.0,), 0.1), ((0, np.inf, 0), (2.0,), 0.1),
                               ((0, 0, 0), (np.nan,), 0.1), ((0, 0, 0), (np.inf,), 0.1),
                               ((0, 0, 0), (2.0,), np.nan)]:
