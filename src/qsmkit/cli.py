@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import Acquisition, Orientation, OrientationDataset, ScalarVolume, VolumeGrid, fft_workers
+from .core import _AXES, Acquisition, Orientation, OrientationDataset, ScalarVolume, VolumeGrid, fft_workers
 from .dipole import dipole_kernel
 from .invert import CosmosConfig, L2Config, TkdConfig, cosmos, l2_closedform, tkd
 from .io import read_nifti, require_nifti_grid, require_nifti_volume, slice_to_pgm, write_nifti
@@ -376,7 +376,7 @@ def cmd_metrics(args, cfg):
 
 
 def cmd_slice(args, cfg):
-    if args.axis not in ("x", "y", "z"):
+    if args.axis not in _AXES:
         raise ConfigError(f"axis must be x, y or z, got {args.axis!r}")
     volume = _load_volume(args.volume)
     _write_all({args.out: slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max)})
@@ -384,7 +384,6 @@ def cmd_slice(args, cfg):
 
 # -------------------------------------------------------------------- main
 
-_DATA_FLAGS = ("--phase", "--magnitude", "--bvec")
 _PHASE_IN_OUT = [("phase", _text, _REQUIRED), ("mask", _text, _REQUIRED), ("out", _text, _REQUIRED)]
 
 # Each subcommand: its function, its help, its options and its repeatable
@@ -426,14 +425,14 @@ _COMMANDS = {
         ("ndi_step", float, NdiConfig.step_size),
         ("history_out", _text, None, "CSV of iteration,cost[,nrmse]"),
         ("reference", _text, None, "truth volume enabling the nrmse history column"),
-    ], dict.fromkeys(_DATA_FLAGS)),
+    ], dict.fromkeys(("--phase", "--magnitude", "--bvec"))),
     "metrics": (cmd_metrics, "NRMSE/SSIM report, plus data consistency with --dataset", [
         ("x", _text, _REQUIRED),
         ("ref", _text, _REQUIRED),
         ("mask", _text, _REQUIRED),
         ("dataset", _text, None),
         ("out", _text, None),
-    ], dict.fromkeys(_DATA_FLAGS, argparse.SUPPRESS)),
+    ], {}),
     "slice": (cmd_slice, "export one slice as a binary PGM image", [
         ("volume", _text, _REQUIRED),
         ("axis", _text, _REQUIRED),

@@ -220,13 +220,11 @@ class Acquisition:
     orientation: Orientation
 
 
-def is_binary(arr: np.ndarray) -> bool:
-    return bool(np.all((arr == 0.0) | (arr == 1.0)))
-
-
-def require_binary_mask(mask: ScalarVolume):
-    if not is_binary(mask.data):
+def require_binary_mask(mask: ScalarVolume) -> np.ndarray:
+    """The voxels inside mask, mask.data > 0.5; a ValueError unless every sample is 0 or 1."""
+    if not np.all((mask.data == 0.0) | (mask.data == 1.0)):
         raise ValueError("mask must be binary (all samples 0 or 1)")
+    return mask.data > 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,13 +303,15 @@ def freq_coords(grid: VolumeGrid, axis: str, index: int) -> float:
     """Physical frequency (cycles/mm) of an FFT-ordered index along one axis.
 
     Returns n/(N*delta) with n = index for index < ceil(N/2), else index - N.
+    axis is "x", "y", "z", 0, 1 or 2, and index an integer in [0, N); others raise ValueError.
     """
-    ax = _AXES[axis] if isinstance(axis, str) else int(axis)
+    ax = _AXES.get(axis) if isinstance(axis, str) else axis
+    if not (isinstance(ax, (int, np.integer)) and ax in _AXES.values()):
+        raise ValueError(f"axis must be x, y, z, 0, 1 or 2, got {axis!r}")
     n_ax = grid.dims[ax]
-    if not 0 <= index < n_ax:
-        raise ValueError(f"index {index} out of range for axis of extent {n_ax}")
-    n = index if index < (n_ax + 1) // 2 else index - n_ax
-    return n / (n_ax * grid.spacing[ax])
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < n_ax):
+        raise ValueError(f"index {index!r} is not an integer in range for axis of extent {n_ax}")
+    return float(frequency_axes(grid)[ax][index])
 
 
 def frequency_axes(grid: VolumeGrid):
@@ -334,14 +334,16 @@ def voxel_coords(grid: VolumeGrid):
     )
 
 
+def outer_sum(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The 3D lattice of x[i] + y[j] + z[k], summed in that order, from three 1D arrays."""
+    return x[:, None, None] + y[None, :, None] + z[None, None, :]
+
+
 def ball_offsets(spacing, radius_mm: float) -> np.ndarray:
     """Boolean stencil of voxel offsets whose centers lie within radius_mm."""
     reach = [int(np.floor(radius_mm / s)) for s in spacing]
-    axes = [np.arange(-r, r + 1) * s for r, s in zip(reach, spacing)]
-    dist2 = (
-        axes[0][:, None, None] ** 2 + axes[1][None, :, None] ** 2 + axes[2][None, None, :] ** 2
-    )
-    return dist2 <= radius_mm * radius_mm
+    squares = [(np.arange(-r, r + 1) * s) ** 2 for r, s in zip(reach, spacing)]
+    return outer_sum(*squares) <= radius_mm * radius_mm
 
 
 def _bounding_box(inside: np.ndarray):
@@ -376,7 +378,7 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
     step ANDs shifted views of booleans, so nothing rounds. The result lies in
     the mask, so only the mask's bounding box is eroded, its border counting 0.
     """
-    require_binary_mask(mask)
+    inside = require_binary_mask(mask)
     if not 0 <= radius_mm < np.inf:
         raise ValueError(f"erosion radius must be finite and >= 0, got {radius_mm!r}")
     grid = mask.grid
@@ -384,9 +386,6 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
         # every voxel's ball reaches past a face, so nothing survives; no stencil needed
         return ScalarVolume(grid, np.zeros(grid.dims))
     structure = ball_offsets(grid.spacing, radius_mm)
-    if structure.size == 1:
-        return ScalarVolume(grid, mask.data)
-    inside = mask.data > 0.5
     box = _bounding_box(inside)
     h = (np.count_nonzero(structure, axis=2) - 1) // 2  # z half-width per column, -1 if empty
     groups = {}  # x half-width t -> G_t, the AND of the y-z erosions it applies to

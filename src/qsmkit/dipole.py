@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Orientation, ScalarVolume, VolumeGrid, frequency_axes, spectral_apply
+from .core import Orientation, ScalarVolume, VolumeGrid, frequency_axes, outer_sum, spectral_apply
 
 __all__ = ["DipoleKernel", "dipole_kernel", "forward_field", "adjoint_field"]
 
@@ -42,11 +42,8 @@ def _index_mirror(values: np.ndarray) -> np.ndarray:
 def _kernel_values(dims, spacing, b) -> np.ndarray:
     grid = VolumeGrid(dims, spacing)
     fx, fy, fz = frequency_axes(grid)
-    kx = fx[:, None, None]
-    ky = fy[None, :, None]
-    kz = fz[None, None, :]
-    k2 = kx * kx + ky * ky + kz * kz
-    dot = kx * b[0] + ky * b[1] + kz * b[2]
+    k2 = outer_sum(fx * fx, fy * fy, fz * fz)
+    dot = outer_sum(fx * b[0], fy * b[1], fz * b[2])
     with np.errstate(divide="ignore", invalid="ignore"):
         values = 1.0 / 3.0 - (dot * dot) / k2
     values[0, 0, 0] = 0.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrientationDataset, ScalarVolume, VolumeGrid, irfft3, rfft3, spectral_apply
+from .core import OrientationDataset, ScalarVolume, VolumeGrid, irfft3, outer_sum, rfft3, spectral_apply
 from .dipole import DipoleKernel, dipole_kernel
 
 __all__ = [
@@ -86,23 +86,8 @@ def cosmos(dataset: OrientationDataset, cfg: CosmosConfig = CosmosConfig()) -> S
     Orientations are accumulated in ascending entry order.
     """
     grid = dataset.grid
-    numerator = None
-    denominator = None
-    for entry in dataset.entries:
-        d = dipole_kernel(grid, entry.orientation).half
-        spec = rfft3(entry.phase.data)
-        spec *= d
-        if numerator is None:
-            numerator = spec
-            denominator = d * d
-        else:
-            numerator += spec
-            denominator = denominator + d * d
-    keep = denominator > cfg.eps
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        chi_spec = numerator / denominator
-    chi_spec = np.where(keep, chi_spec, 0.0)
-    return ScalarVolume(grid, irfft3(chi_spec, grid.dims))
+    terms = ((e.phase.data, dipole_kernel(grid, e.orientation).half) for e in dataset.entries)
+    return _least_squares(grid, terms, cfg.eps)
 
 
 def gradient_energy_spectrum(grid: VolumeGrid) -> np.ndarray:
@@ -111,15 +96,8 @@ def gradient_energy_spectrum(grid: VolumeGrid) -> np.ndarray:
     E(k) = sum_i |1 - exp(-2*pi*i*n_i/N_i)|^2 on the rfft lattice; zero only
     at DC.
     """
-    terms = []
-    for ax, n_ax in enumerate(grid.dims):
-        idx = np.arange(n_ax)
-        if ax == 2:
-            idx = idx[: n_ax // 2 + 1]
-        terms.append(np.abs(1.0 - np.exp(-2j * np.pi * idx / n_ax)) ** 2)
-    return (
-        terms[0][:, None, None] + terms[1][None, :, None] + terms[2][None, None, :]
-    )
+    terms = [np.abs(1.0 - np.exp(-2j * np.pi * np.arange(n_ax) / n_ax)) ** 2 for n_ax in grid.dims]
+    return outer_sum(terms[0], terms[1], terms[2][: grid.dims[2] // 2 + 1])
 
 
 def l2_closedform(
@@ -131,12 +109,28 @@ def l2_closedform(
     exactly zero (DC, and the kernel zero cone when lambda = 0) map to 0.
     """
     phase.grid.require_compatible(kernel.grid)
-    d = kernel.half
-    spec = rfft3(phase.data)
-    spec *= d
+    return _least_squares(phase.grid, [(phase.data, kernel.half)], 0.0, cfg.lam)
+
+
+def _least_squares(grid: VolumeGrid, terms, floor: float, lam: float = 0.0) -> ScalarVolume:
+    """irfft3 of sum_r d_r*rfft3(phi_r) / (sum_r d_r^2 + lam*E(k)), 0 where that denominator is <= floor.
+
+    terms are (phase, kernel half-spectrum) pairs, summed in the given order; E
+    is gradient_energy_spectrum. The quotient is formed in place in the numerator.
+    """
+    numerator = denominator = None
+    for phase, d in terms:
+        spec = rfft3(phase)
+        spec *= d
+        if numerator is None:
+            numerator, denominator = spec, d * d
+        else:
+            numerator += spec
+            denominator += d * d
     # a large lambda gives an inf denominator, a subnormal one an inf result that ScalarVolume refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        denom = d * d + cfg.lam * gradient_energy_spectrum(phase.grid)
-        chi_spec = spec / denom
-    chi_spec = np.where(denom > 0, chi_spec, 0.0)
-    return ScalarVolume(phase.grid, irfft3(chi_spec, phase.grid.dims))
+        if lam:
+            denominator += lam * gradient_energy_spectrum(grid)
+        numerator /= denominator
+    numerator[denominator <= floor] = 0.0
+    return ScalarVolume(grid, irfft3(numerator, grid.dims))

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .core import ScalarVolume, VolumeGrid
+from .core import _AXES, ScalarVolume, VolumeGrid
 
 __all__ = ["NiftiFormatError", "read_nifti", "require_nifti_grid", "require_nifti_volume", "write_nifti",
            "slice_to_pgm"]
@@ -140,18 +140,15 @@ def read_nifti(path) -> ScalarVolume:
         raise NiftiFormatError(f"{path}: {exc}") from exc
 
 
-_SLICE_PLANES = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
-
-
 def slice_to_pgm(volume: ScalarVolume, axis: str, index: int, window_min: float, window_max: float) -> bytes:
     """One slice as the bytes of an 8-bit binary PGM (P5) file, mapping
     [window_min, window_max] linearly to [0, 255] with clamping (round half-up).
 
     Rows run top-to-bottom along the increasing second in-plane axis.
     """
-    if axis not in _SLICE_PLANES:
+    if axis not in _AXES:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    ax = "xyz".index(axis)
+    ax = _AXES[axis]
     if not 0 <= index < volume.grid.dims[ax]:
         raise ValueError(f"slice index {index} out of range for axis {axis} of extent {volume.grid.dims[ax]}")
     if not window_max > window_min:

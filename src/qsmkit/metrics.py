@@ -49,8 +49,8 @@ class SsimConfig:
         positive and finite."""
         c1, c2 = _square(self.k1 * drange), _square(self.k2 * drange)
         if not (0 < c1 < math.inf and 0 < c2 < math.inf):
-            raise ValueError(f"SSIM c1 {c1!r} and c2 {c2!r} from dynamic_range {drange!r} must be "
-                             "positive and finite")
+            raise ValueError(f"SSIM c1 {c1!r} and c2 {c2!r} from dynamic_range {drange!r} must be positive "
+                             "and finite (a constant reference has range 0, one that overflows inf)")
         return c1, c2
 
 
@@ -70,18 +70,21 @@ def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
     """
     x.grid.require_compatible(ref.grid)
     x.grid.require_compatible(mask.grid)
-    require_binary_mask(mask)
-    inside = mask.data > 0.5
+    inside = require_binary_mask(mask)
     if not inside.any():  # before any mean: the mean of nothing is nan, with warnings
         raise ValueError("mask is empty: NRMSE needs at least one voxel inside it")
     xv = x.data[inside]
     rv = ref.data[inside]
-    xv = xv - xv.mean()
-    rv = rv - rv.mean()
-    ref_norm = float(np.linalg.norm(rv))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        xv = xv - xv.mean()
+        rv = rv - rv.mean()
+        ref_norm = float(np.linalg.norm(rv))
+        err_norm = float(np.linalg.norm(xv - rv))
+    if not (math.isfinite(ref_norm) and math.isfinite(err_norm)):
+        raise ValueError("NRMSE overflows the float64 range for these volumes")
     if ref_norm == 0.0:
         raise ValueError("reference is identically zero inside the mask")
-    return float(np.linalg.norm(xv - rv)) / ref_norm
+    return err_norm / ref_norm
 
 
 def _local_mean(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -110,7 +113,7 @@ def ssim3d(
     whatever its length, and they keep their C order."""
     x.grid.require_compatible(ref.grid)
     x.grid.require_compatible(mask.grid)
-    require_binary_mask(mask)
+    inside = require_binary_mask(mask)
 
     half = cfg.window // 2
     dims = x.grid.dims
@@ -118,7 +121,7 @@ def ssim3d(
         raise ValueError(f"volume {dims} smaller than one {cfg.window}^3 SSIM window")
     valid = np.zeros(dims, dtype=bool)
     valid[half : dims[0] - half, half : dims[1] - half, half : dims[2] - half] = True
-    valid &= mask.data > 0.5
+    valid &= inside
     if not np.any(valid):
         raise ValueError("mask has no voxel with a full SSIM window inside the volume")
     box = tuple(slice(s.start - half, s.stop + half) for s in _bounding_box(valid))
@@ -126,10 +129,8 @@ def ssim3d(
     if cfg.dynamic_range is not None:
         drange = float(cfg.dynamic_range)
     else:
-        rv = ref.data[mask.data > 0.5]
-        drange = float(rv.max() - rv.min())
-    if drange <= 0:
-        raise ValueError("dynamic range must be positive (constant reference?)")
+        rv = ref.data[inside]
+        drange = float(rv.max()) - float(rv.min())  # Python floats: an overflow is inf, no warning
     c1, c2 = cfg._constants(drange)
     weights = cfg._weights()
 
@@ -153,7 +154,9 @@ def data_consistency(chi: ScalarVolume, dataset: OrientationDataset) -> float:
     """Normalized in-mask residual between forward-modeled and measured phase,
     sqrt(sum_r ||M(D_r chi - phi_r)||^2) / sqrt(sum_r ||M phi_r||^2)."""
     chi.grid.require_compatible(dataset.grid)
-    inside = dataset.mask.data > 0.5
+    inside = require_binary_mask(dataset.mask)
+    if not inside.any():
+        raise ValueError("mask is empty: data consistency needs at least one voxel inside it")
     resid2 = 0.0
     norm2 = 0.0
     for entry in dataset.entries:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .core import OrientationDataset, ScalarVolume, for_slabs, irfft3, rfft3, spectral_apply
+from .core import OrientationDataset, ScalarVolume, for_slabs, irfft3, require_binary_mask, rfft3, spectral_apply
 from .dipole import dipole_kernel
 
 __all__ = ["NdiConfig", "NdiResult", "NdiDivergenceError", "ndi_cost", "ndi_gradient", "ndi_reconstruct"]
@@ -62,10 +62,6 @@ class NdiResult:
     chi: ScalarVolume
     cost_history: list[float] = field(default_factory=list)
     nrmse_history: list[float] | None = None
-
-
-def _half_shape(dims):
-    return (dims[0], dims[1], dims[2] // 2 + 1)
 
 
 def _half_norm2(spec: np.ndarray, dims) -> float:
@@ -124,7 +120,7 @@ def ndi_gradient(chi: ScalarVolume, dataset: OrientationDataset, lam: float = 0.
 
 
 def _normalized_weights(dataset: OrientationDataset):
-    inside = dataset.mask.data > 0.5
+    inside = require_binary_mask(dataset.mask)
     if not np.any(inside):
         raise ValueError("dataset mask is empty")
     gmax = max(float(e.magnitude.data[inside].max()) for e in dataset.entries)
@@ -157,7 +153,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     track_nrmse = cfg.record_history and cfg.reference is not None
     if track_nrmse:
         cfg.reference.grid.require_compatible(grid)
-        inside = dataset.mask.data > 0.5
+        inside = require_binary_mask(dataset.mask)
         ref_centered = cfg.reference.data[inside]
         ref_centered = ref_centered - ref_centered.mean()
         ref_norm = float(np.linalg.norm(ref_centered))
@@ -180,7 +176,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     # Products are formed in place, with the same operations on the same
     # operands in the same order as the expressions above, so the iterates
     # keep their bits for every thread count.
-    chi_hat = np.zeros(_half_shape(dims), dtype=np.complex128)
+    chi_hat = np.zeros(terms[0][2].shape, dtype=np.complex128)
     spec = np.multiply(chi_hat, terms[0][2])
     shrink = 1.0 - 2.0 * tau * lam
     step = 2.0 * tau

@@ -18,6 +18,7 @@ from .core import (
     frequency_axes,
     irfft3,
     mask_erode,
+    outer_sum,
     require_binary_mask,
     rfft3,
     spectral_apply,
@@ -44,10 +45,7 @@ class SmvConfig:
 def _laplacian_symbol(grid: VolumeGrid) -> np.ndarray:
     """Fourier multiplier of the Laplacian, -4*pi^2*|k|^2, on the rfft lattice."""
     fx, fy, fz = frequency_axes(grid)
-    fz = fz[: grid.dims[2] // 2 + 1]
-    k2 = (
-        fx[:, None, None] ** 2 + fy[None, :, None] ** 2 + fz[None, None, :] ** 2
-    )
+    k2 = outer_sum(fx**2, fy**2, fz[: grid.dims[2] // 2 + 1] ** 2)
     return -4.0 * np.pi**2 * k2
 
 
@@ -59,7 +57,7 @@ def laplacian_unwrap(wrapped: ScalarVolume, mask: ScalarVolume) -> ScalarVolume:
     to the input leaves the output unchanged.
     """
     wrapped.grid.require_compatible(mask.grid)
-    require_binary_mask(mask)
+    inside = require_binary_mask(mask)
     grid = wrapped.grid
     lap = _laplacian_symbol(grid)
     inv_lap = np.zeros_like(lap)
@@ -77,7 +75,6 @@ def laplacian_unwrap(wrapped: ScalarVolume, mask: ScalarVolume) -> ScalarVolume:
     rhs = cos_w * spectral_apply(sin_w, lap) - sin_w * spectral_apply(cos_w, lap)
     phi = spectral_apply(rhs, inv_lap)
 
-    inside = mask.data > 0.5
     if np.any(inside):
         phi = phi - phi[inside].mean()
     return ScalarVolume(grid, phi)
@@ -97,7 +94,7 @@ def sphere_kernel_spectrum(grid: VolumeGrid, radius_mm: float) -> np.ndarray:
     r2 = radius_mm * radius_mm
     near = [np.flatnonzero(c**2 <= r2) for c in coords]
     xs, ys, zs = (c[i] for c, i in zip(coords, near))
-    inside = xs[:, None, None] ** 2 + ys[None, :, None] ** 2 + zs[None, None, :] ** 2 <= r2
+    inside = outer_sum(xs**2, ys**2, zs**2) <= r2
     count = np.count_nonzero(inside)
     if count == 1:
         raise ValueError(f"SMV radius {radius_mm!r} mm reaches no voxel but the centre "

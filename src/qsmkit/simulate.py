@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _accel
 from .core import (
+    _AXES,
     Acquisition,
     OrientationDataset,
     ScalarVolume,
@@ -26,7 +27,6 @@ from .dipole import dipole_kernel, forward_field
 __all__ = ["Shape", "PhantomSpec", "NoiseSpec", "make_phantom", "simulate_acquisition", "wrap_phase"]
 
 _KINDS = {"sphere": 1, "cylinder": 2, "cuboid": 3}  # each kind's number of size parameters
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _MAX_MM = 1e150  # a longer centre offset or size would square to inf in the containment tests
 _MAX_SIGMA = 1e300  # larger noise would leave the float range
 
@@ -59,7 +59,7 @@ class Shape:
             raise ValueError(f"{self.kind} needs {expected} size parameter(s), got {size}")
         if not all(0 < s <= _MAX_MM for s in size):
             raise ValueError(f"shape sizes must be positive and finite, at most {_MAX_MM:g} mm, got {size}")
-        if self.axis not in _AXIS_INDEX:
+        if self.axis not in _AXES:
             raise ValueError(f"cylinder axis must be x, y or z, got {self.axis!r}")
         center = tuple(float(c) for c in self.center)
         if len(center) != 3:
@@ -78,7 +78,7 @@ class Shape:
         if self.kind == "sphere":
             return d[0] ** 2 + d[1] ** 2 + d[2] ** 2 <= self.size[0] ** 2
         if self.kind == "cylinder":
-            a = _AXIS_INDEX[self.axis]
+            a = _AXES[self.axis]
             radial2 = sum(d[i] ** 2 for i in range(3) if i != a)
             return (np.abs(d[a]) <= self.size[1] / 2.0) & (radial2 <= self.size[0] ** 2)
         lx, ly, lz = (e / 2.0 for e in self.size)  # half-extents

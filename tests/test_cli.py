@@ -274,6 +274,15 @@ def test_metrics_on_an_empty_mask_exits_1_with_one_line(tmp_path, capsys, monkey
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("flag", [["--phase", "chi.nii"], ["--magnitude", "chi.nii"], ["--bvec", "0,0,1"]])
+def test_metrics_refuses_the_data_flags_it_would_ignore(flag, capsys):
+    # metrics reads a dataset only from --dataset; invert's repeatable flags are usage errors here
+    with pytest.raises(SystemExit) as exc:
+        main(["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in _one_line_error(capsys)
+
+
 def test_slice_command(tmp_path):
     _run_phantom(tmp_path)
     out = tmp_path / "s.pgm"

@@ -195,6 +195,8 @@ def test_freq_coords_examples():
         freq_coords(g, "x", 8)
     with pytest.raises(ValueError):
         freq_coords(g, "x", -1)
+    with pytest.raises(ValueError, match="not an integer"):
+        freq_coords(g, "x", 1.5)
 
 
 @pytest.mark.parametrize("n", [7, 8, 12])
@@ -209,7 +211,31 @@ def test_frequency_axes_match_freq_coords():
     axes = frequency_axes(g)
     for ax, name in enumerate("xyz"):
         for idx in range(g.dims[ax]):
-            assert axes[ax][idx] == freq_coords(g, name, idx)
+            assert axes[ax][idx] == freq_coords(g, name, idx) == freq_coords(g, ax, idx)
+            assert freq_coords(g, np.int64(ax), idx) == axes[ax][idx]
+
+
+@pytest.mark.parametrize("axis", ["w", "", "X", "xy", 3, 5, -1, 1.0, None])
+def test_freq_coords_refuses_other_axes(axis):
+    with pytest.raises(ValueError, match="axis must be x, y, z, 0, 1 or 2"):
+        freq_coords(VolumeGrid((8, 8, 8)), axis, 1)
+
+
+def test_outer_sum_adds_in_axis_order():
+    rng = np.random.default_rng(16)
+    x, y, z = (rng.normal(size=n) for n in (5, 4, 3))
+    lattice = core.outer_sum(x, y, z)
+    assert lattice.shape == (5, 4, 3) and lattice.flags.c_contiguous
+    assert lattice.tobytes() == np.add.outer(np.add.outer(x, y), z).tobytes()
+
+
+def test_require_binary_mask_returns_the_inside_voxels(grid16):
+    rng = np.random.default_rng(17)
+    mask = ScalarVolume(grid16, (rng.random(grid16.dims) > 0.4).astype(float))
+    inside = core.require_binary_mask(mask)
+    assert inside.dtype == bool and np.array_equal(inside, mask.data == 1.0)
+    with pytest.raises(ValueError, match="binary"):
+        core.require_binary_mask(ScalarVolume(grid16, 0.5 * mask.data))
 
 
 # ---------------------------------------------------------------- erosion

@@ -7,6 +7,7 @@ from qsmkit import (
     CosmosConfig,
     L2Config,
     NoiseSpec,
+    Orientation,
     OrientationDataset,
     ScalarVolume,
     TkdConfig,
@@ -20,7 +21,7 @@ from qsmkit import (
     simulate_acquisition,
     tkd,
 )
-from qsmkit.core import voxel_coords
+from qsmkit.core import irfft3, rfft3, voxel_coords
 from qsmkit.invert import gradient_energy_spectrum, tkd_multiplier
 
 from conftest import EZ, ones_volume, random_volume, rot_x
@@ -137,6 +138,39 @@ def test_l2_data_consistency_monotone_in_lambda():
         for lam in (1e-3, 1e-2, 1e-1)
     ]
     assert errors[0] < errors[1] < errors[2]
+
+
+def _plain_least_squares(terms, penalty, floor, dims):
+    """sum_r d_r*rfft3(phi_r) / (sum_r d_r^2 + penalty), 0 where that denominator is
+    <= floor, written as whole-array expressions on fresh arrays: the reference the
+    shared solve behind cosmos and l2_closedform must match bit for bit."""
+    num = den = None
+    for phi, d in terms:
+        term = rfft3(phi) * d
+        num = term if num is None else num + term
+        den = d * d if den is None else den + d * d
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = den + penalty
+        keep = den > floor
+        return irfft3(np.where(keep, num / den, 0.0), dims)
+
+
+@pytest.mark.parametrize("n_orient", [1, 3])
+def test_cosmos_and_l2_same_bits_as_plain_expressions(n_orient):
+    g = VolumeGrid((33, 28, 21), (0.7, 1.1, 1.3))
+    rng = np.random.default_rng(47)
+    orientations = [EZ, rot_x(30), Orientation.from_vector((0.3, -0.5, 0.8))][:n_orient]
+    entries = tuple(Acquisition(random_volume(g, rng), ones_volume(g), o) for o in orientations)
+    ds = OrientationDataset(entries=entries, mask=ones_volume(g))
+    terms = [(e.phase.data, dipole_kernel(g, e.orientation).half) for e in entries]
+    for eps in (1e-6, 1e-2):
+        want = _plain_least_squares(terms, 0.0, eps, g.dims)
+        assert cosmos(ds, CosmosConfig(eps)).data.tobytes() == want.tobytes()
+    for lam in (0.0, 0.01, 1e12):
+        for e, term in zip(entries, terms):
+            want = _plain_least_squares([term], lam * gradient_energy_spectrum(g), 0.0, g.dims)
+            got = l2_closedform(e.phase, dipole_kernel(g, e.orientation), L2Config(lam))
+            assert got.data.tobytes() == want.tobytes()
 
 
 def test_gradient_energy_spectrum_positive_off_dc():

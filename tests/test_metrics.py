@@ -166,6 +166,26 @@ def test_data_consistency_zero_phase_rejected(grid16):
         data_consistency(zeros, ds)
 
 
+def test_data_consistency_refuses_an_empty_mask():
+    g = VolumeGrid((8, 8, 8))
+    phase = random_volume(g, np.random.default_rng(58))
+    ds = OrientationDataset(entries=(Acquisition(phase, ones_volume(g), EZ),), mask=ScalarVolume.zeros(g))
+    with pytest.raises(ValueError, match="mask is empty"):
+        data_consistency(phase, ds)
+
+
+def test_nrmse_and_ssim_refuse_values_whose_sums_overflow(grid16):
+    # the suite turns a RuntimeWarning into an error, so an overflow must be refused before numpy warns
+    signs = np.where(np.random.default_rng(59).random(grid16.dims) < 0.5, -1.0, 1.0)
+    huge = ScalarVolume(grid16, 1e308 * signs)
+    small = _structured(grid16)
+    for x, ref in [(huge, huge), (small, huge), (huge, small)]:
+        with pytest.raises(ValueError, match="NRMSE overflows"):
+            nrmse(x, ref, ones_volume(grid16))
+    with pytest.raises(ValueError, match="dynamic_range inf .* overflows"):
+        ssim3d(small, huge, ones_volume(grid16))
+
+
 def test_tkd_beats_l2_on_data_consistency():
     g = VolumeGrid((32, 32, 32))
     xs, ys, zs = voxel_coords(g)
