@@ -265,10 +265,11 @@ def cmd_smv(args, cfg):
     _write_all({args.out: tissue} | ({args.reliable_mask_out: reliable} if args.reliable_mask_out else {}))
 
 
-def _load_dataset(args, mask: ScalarVolume, phase_scale: float, mask_phase=False) -> OrientationDataset:
+def _load_dataset(args, mask: ScalarVolume, phase_scale: float) -> OrientationDataset:
     """Dataset from a sidecar JSON or from repeated --phase/--magnitude/--bvec.
 
-    mask_phase zeroes the phase outside the mask, as the linear inversions need.
+    Phase and magnitude are zero outside the mask: every reader trusts only
+    the data inside it, and a missing magnitude is the mask itself.
     """
     if args.dataset is not None:
         base = os.path.dirname(os.path.abspath(args.dataset))
@@ -290,19 +291,12 @@ def _load_dataset(args, mask: ScalarVolume, phase_scale: float, mask_phase=False
     acquisitions = []
     for phase_path, magnitude_path, orientation in sources:
         phase = _load_volume(phase_path)
-        if magnitude_path is None:
-            magnitude = ScalarVolume(phase.grid, np.ones(phase.grid.dims))
-        else:
-            magnitude = _load_volume(magnitude_path)
+        magnitude = mask if magnitude_path is None else _load_volume(magnitude_path)
         # the products below need the mask's grid: name the grids, not a failed broadcast
         mask.grid.require_compatible(phase.grid)
         mask.grid.require_compatible(magnitude.grid)
-        if phase_scale != 1.0:
-            with np.errstate(over="ignore"):  # past the float range: inf, which ScalarVolume refuses
-                phase = ScalarVolume(phase.grid, phase_scale * phase.data)
-        if mask_phase:
-            phase = ScalarVolume(phase.grid, phase.data * mask.data)
-        # restrict the data term to the trusted region
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan if masked: ScalarVolume refuses it
+            phase = ScalarVolume(phase.grid, phase_scale * phase.data * mask.data)
         magnitude = ScalarVolume(magnitude.grid, magnitude.data * mask.data)
         acquisitions.append(Acquisition(phase=phase, magnitude=magnitude, orientation=orientation))
     return OrientationDataset(entries=tuple(acquisitions), mask=mask)
@@ -328,8 +322,7 @@ def cmd_invert(args, cfg):
         values.update(record_history=bool(args.history_out), reference=reference)
     solver_cfg = _config(kind, f"{algo} options", **values)
     mask = _load_volume(args.mask)
-    # NDI weights its data term by the masked magnitude and reads the phase as given
-    dataset = _load_dataset(args, mask, args.phase_scale, mask_phase=algo != "ndi")
+    dataset = _load_dataset(args, mask, args.phase_scale)
 
     outputs = {}
     if algo == "cosmos":

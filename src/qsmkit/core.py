@@ -341,7 +341,8 @@ def outer_sum(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def ball_offsets(spacing, radius_mm: float) -> np.ndarray:
     """Boolean stencil of voxel offsets whose centers lie within radius_mm."""
-    reach = [int(np.floor(radius_mm / s)) for s in spacing]
+    # one past the floor: 9.1 / 1.3 rounds below 7, yet (7 * 1.3)^2 <= 9.1^2; the test decides
+    reach = [int(np.floor(radius_mm / s)) + 1 for s in spacing]
     squares = [(np.arange(-r, r + 1) * s) ** 2 for r, s in zip(reach, spacing)]
     return outer_sum(*squares) <= radius_mm * radius_mm
 

@@ -138,16 +138,20 @@ def ssim3d(
     b = ref.data[box]
     valid = valid[box]
     # gathered at the valid voxels first: the same operations, fewer volumes alive
-    mu_a = _local_mean(a, weights)[valid]
-    mu_b = _local_mean(b, weights)[valid]
-    var_a = _local_mean(a * a, weights)[valid] - mu_a * mu_a
-    var_b = _local_mean(b * b, weights)[valid] - mu_b * mu_b
-    cov = _local_mean(a * b, weights)[valid] - mu_a * mu_b
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mu_a = _local_mean(a, weights)[valid]
+        mu_b = _local_mean(b, weights)[valid]
+        var_a = _local_mean(a * a, weights)[valid] - mu_a * mu_a
+        var_b = _local_mean(b * b, weights)[valid] - mu_b * mu_b
+        cov = _local_mean(a * b, weights)[valid] - mu_a * mu_b
 
-    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    )
-    return float(ssim_map.mean())
+        ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+            (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        )
+        ssim = float(ssim_map.mean())
+    if not math.isfinite(ssim):
+        raise ValueError("SSIM overflows the float64 range for these volumes")
+    return ssim
 
 
 def data_consistency(chi: ScalarVolume, dataset: OrientationDataset) -> float:

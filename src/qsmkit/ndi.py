@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
 from .core import OrientationDataset, ScalarVolume, for_slabs, irfft3, require_binary_mask, rfft3, spectral_apply
 from .dipole import dipole_kernel
 
@@ -53,6 +52,8 @@ class NdiConfig:
             raise ValueError("lambda must be finite and >= 0")
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if self.reference is not None and not self.record_history:
+            raise ValueError("reference is read only by the NRMSE history: it needs record_history")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +63,66 @@ class NdiResult:
     chi: ScalarVolume
     cost_history: list[float] = field(default_factory=list)
     nrmse_history: list[float] | None = None
+
+
+def trig_cost(field, phase, w2):
+    """sum of 2 * w2 * (1 - cos(field - phase))."""
+    return float(np.sum(2.0 * w2 * (1.0 - np.cos(field - phase))))
+
+
+def _scratch(field):
+    """field as a flat view, for a kernel that writes its result over it."""
+    if field.dtype != np.float64 or not field.flags.c_contiguous:
+        raise ValueError("field must be a C-contiguous float64 array: it is overwritten")
+    return field.reshape(-1)
+
+
+def weighted_sin_residual(field, phase, w2):
+    """w2 * sin(field - phase), elementwise, written over field and returned.
+
+    field is scratch, such as an irfft3 output: the subtract, sin and
+    multiply run in place in it, on one thread per FFT worker, over the
+    slabs residual_and_cost uses, so the result is the same bits as the
+    plain expression for every thread count.
+    """
+    r = _scratch(field)
+    p, w = np.ravel(phase), np.ravel(w2)
+
+    def slab(lo, hi):
+        np.subtract(r[lo:hi], p[lo:hi], out=r[lo:hi])
+        np.sin(r[lo:hi], out=r[lo:hi])
+        r[lo:hi] *= w[lo:hi]
+
+    for_slabs(slab, r.size)
+    return field
+
+
+def residual_and_cost(field, phase, w2):
+    """One pass over the residual angle: returns (w2*sin(d), sum 2*w2*(1-cos(d))).
+
+    The three volumes share one shape; the residual is written over field,
+    which is scratch as in weighted_sin_residual. The sin and cos run on one
+    thread per FFT worker (numpy releases the GIL), each over its own slab
+    and into preallocated outputs; the cost terms are then summed once over
+    the whole volume, so both results are the same bits for every thread
+    count.
+    """
+    r = _scratch(field)
+    terms = np.empty(np.shape(field))
+    p, w = np.ravel(phase), np.ravel(w2)
+    c = terms.reshape(-1)
+
+    def slab(lo, hi):
+        d = np.subtract(r[lo:hi], p[lo:hi])
+        np.sin(d, out=r[lo:hi])
+        r[lo:hi] *= w[lo:hi]
+        np.cos(d, out=d)
+        np.subtract(1.0, d, out=d)
+        np.multiply(2.0, w[lo:hi], out=c[lo:hi])
+        c[lo:hi] *= d
+
+    for_slabs(slab, r.size)
+    return field, float(np.sum(terms))
 
 
 def _half_norm2(spec: np.ndarray, dims) -> float:
@@ -105,7 +166,7 @@ def ndi_cost(chi: ScalarVolume, dataset: OrientationDataset) -> float:
     chi.grid.require_compatible(dataset.grid)
     total = 0.0
     for phi, w2, half in _terms(dataset):
-        total += _accel.trig_cost(spectral_apply(chi.data, half), phi, w2)
+        total += trig_cost(spectral_apply(chi.data, half), phi, w2)
     return total
 
 
@@ -114,7 +175,7 @@ def ndi_gradient(chi: ScalarVolume, dataset: OrientationDataset, lam: float = 0.
     chi.grid.require_compatible(dataset.grid)
     grad_sum = np.zeros(chi.grid.dims)
     for phi, w2, half in _terms(dataset):
-        resid = _accel.weighted_sin_residual(spectral_apply(chi.data, half), phi, w2)
+        resid = weighted_sin_residual(spectral_apply(chi.data, half), phi, w2)
         grad_sum += spectral_apply(resid, half)
     return ScalarVolume(chi.grid, 2.0 * grad_sum + (2.0 * lam) * chi.data)
 
@@ -150,7 +211,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     dims = grid.dims
     terms = _terms(dataset, normalize=True)
 
-    track_nrmse = cfg.record_history and cfg.reference is not None
+    track_nrmse = cfg.reference is not None
     if track_nrmse:
         cfg.reference.grid.require_compatible(grid)
         inside = require_binary_mask(dataset.mask)
@@ -208,10 +269,10 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
             for r, (phi, w2, half) in enumerate(terms):
                 field_r = irfft3(spec, dims)
                 if cfg.record_history:
-                    resid, cost_r = _accel.residual_and_cost(field_r, phi, w2)
+                    resid, cost_r = residual_and_cost(field_r, phi, w2)
                     cost_t += cost_r
                 else:
-                    resid = _accel.weighted_sin_residual(field_r, phi, w2)
+                    resid = weighted_sin_residual(field_r, phi, w2)
                     # |w^2 sin| <= w^2, at most 1 in the mask after the max
                     # normalization, so the sum is non-finite only when some
                     # residual is: when the field itself has overflowed
@@ -243,7 +304,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
         with np.errstate(over="ignore", invalid="ignore"):
             final_cost = lam * float(np.sum(chi * chi)) if lam != 0.0 else 0.0
             for phi, w2, half in terms:
-                final_cost += _accel.trig_cost(irfft3(chi_hat * half, dims), phi, w2)
+                final_cost += trig_cost(irfft3(chi_hat * half, dims), phi, w2)
         if not np.isfinite(final_cost):
             raise NdiDivergenceError(f"cost became non-finite at iteration {cfg.max_iters}")
         cost_history.append(final_cost)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .core import (
     _AXES,
     Acquisition,
@@ -85,6 +84,16 @@ class Shape:
         return (np.abs(d[0]) <= lx) & (np.abs(d[1]) <= ly) & (np.abs(d[2]) <= lz)
 
 
+def rasterize_shapes(coords, shapes, background):
+    """Fill a volume on the voxel_coords axes; the last shape containing a voxel wins."""
+    xs, ys, zs = coords
+    out = np.full((xs.size, ys.size, zs.size), background, dtype=np.float64)
+    points = (xs[:, None, None], ys[None, :, None], zs[None, None, :])
+    for shape in shapes:
+        out[shape.contains(*points)] = shape.chi
+    return out
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     """Shape list plus background susceptibility; later shapes overwrite earlier."""
@@ -114,7 +123,7 @@ class NoiseSpec:
 def make_phantom(grid: VolumeGrid, spec: PhantomSpec) -> ScalarVolume:
     """Rasterize a PhantomSpec: each voxel takes the chi of the last shape
     containing its center, or the background value."""
-    return ScalarVolume(grid, _accel.rasterize_shapes(voxel_coords(grid), spec.shapes, spec.background))
+    return ScalarVolume(grid, rasterize_shapes(voxel_coords(grid), spec.shapes, spec.background))
 
 
 def wrap_phase(x: np.ndarray) -> np.ndarray:

@@ -68,7 +68,7 @@ def oracle_dipole_values(dims, spacing, b) -> np.ndarray:
 def brute_erode(mask: np.ndarray, spacing, radius: float) -> np.ndarray:
     """Per-voxel distance check; outside the volume counts as zero."""
     dims = mask.shape
-    reach = [int(np.floor(radius / s)) for s in spacing]
+    reach = [int(np.floor(radius / s)) + 1 for s in spacing]  # the distance test decides the tips
     offsets = []
     for di in range(-reach[0], reach[0] + 1):
         for dj in range(-reach[1], reach[1] + 1):

@@ -399,6 +399,16 @@ def test_invalid_solver_option_exits_2(tmp_path, capsys, flags):
     assert flags[1] in _one_line_error(capsys)
 
 
+def test_reference_without_history_out_exits_2(tmp_path, capsys):
+    # the reference feeds only the history's nrmse column: alone it would be read and ignored
+    dataset = _small_dataset(tmp_path)
+    capsys.readouterr()
+    rc = _invert(tmp_path, dataset, "--algo", "ndi", "--ndi-iters", "3", "--reference", str(tmp_path / "chi.nii"))
+    assert rc == 2
+    assert "reference" in _one_line_error(capsys)
+    assert not (tmp_path / "out.nii").exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -21,6 +21,7 @@ from qsmkit import core
 from qsmkit.core import ball_offsets, fft_workers, frequency_axes, rfft3, spectral_apply
 from qsmkit.dipole import dipole_kernel
 from qsmkit.ndi import _half_norm2
+from qsmkit.preprocess import sphere_kernel_spectrum
 
 from conftest import EZ, brute_erode, naive_dft3, naive_idft3, ones_volume, random_volume
 
@@ -262,6 +263,25 @@ def test_mask_erode_random_vs_brute():
     mask = (rng.random(g.dims) > 0.3).astype(float)
     got = mask_erode(ScalarVolume(g, mask), 1.6).data
     assert np.array_equal(got, brute_erode(mask, g.spacing, 1.6))
+
+
+@pytest.mark.parametrize("spacing, radius", [(1.3, 9.1), (0.65, 4.55), (0.55, 8.25), (1.1, 16.5)])
+def test_ball_keeps_its_axis_tips_when_radius_over_spacing_rounds_down(spacing, radius):
+    # radius / spacing is just under k, yet the offset k passes the ball's own (k*s)^2 <= r^2 test
+    k = round(radius / spacing)
+    assert np.floor(radius / spacing) == k - 1 and (k * spacing) ** 2 <= radius * radius
+    ball = ball_offsets((spacing,) * 3, radius)
+    c = ball.shape[0] // 2
+    assert ball[c + k, c, c] and ball[c, c - k, c] and ball[c, c, c + k]
+    g = VolumeGrid((2 * k + 3,) * 3, (spacing,) * 3)
+    centre = g.dims[0] // 2
+    mask = np.ones(g.dims)
+    assert mask_erode(ScalarVolume(g, mask), radius).data[centre, centre, centre] == 1.0
+    mask[centre + k, centre, centre] = 0.0
+    assert mask_erode(ScalarVolume(g, mask), radius).data[centre, centre, centre] == 0.0
+    # the SMV sphere holds the same voxels as the erosion stencil
+    sphere = core.irfft3(sphere_kernel_spectrum(g, radius), g.dims)
+    assert np.count_nonzero(sphere > 0.5 * sphere.max()) == np.count_nonzero(ball)
 
 
 def test_mask_erode_edge_cases(grid8):

@@ -184,6 +184,8 @@ def test_nrmse_and_ssim_refuse_values_whose_sums_overflow(grid16):
             nrmse(x, ref, ones_volume(grid16))
     with pytest.raises(ValueError, match="dynamic_range inf .* overflows"):
         ssim3d(small, huge, ones_volume(grid16))
+    with pytest.raises(ValueError, match="SSIM overflows"):  # a given range: the second moments overflow
+        ssim3d(huge, huge, ones_volume(grid16), SsimConfig(dynamic_range=1.0))
 
 
 def test_tkd_beats_l2_on_data_consistency():

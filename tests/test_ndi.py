@@ -25,7 +25,7 @@ from qsmkit import (
 )
 from qsmkit import core
 from qsmkit.core import irfft3, rfft3, voxel_coords
-from qsmkit.ndi import _half_norm2
+from qsmkit.ndi import _half_norm2, residual_and_cost, weighted_sin_residual
 
 from conftest import EZ, ones_volume, random_volume, rot_x
 
@@ -324,6 +324,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match="max_iters"):
             NdiConfig(max_iters=max_iters)
     assert NdiConfig(max_iters=np.int64(3)).max_iters == 3
+    # the NRMSE history is the reference's only reader: without it the reference would be ignored
+    with pytest.raises(ValueError, match="record_history"):
+        NdiConfig(reference=ones_volume(VolumeGrid((4, 4, 4))))
 
 
 def _per_orientation_solve(ds, cfg):
@@ -405,3 +408,40 @@ def test_solve_same_bits_as_per_orientation_loop(monkeypatch, dims, n_orient, la
         assert bare.chi.data.tobytes() == chi.tobytes()
         assert np.array(recording.cost_history).tobytes() == np.array(costs).tobytes()
         assert np.array(recording.nrmse_history).tobytes() == np.array(nrmses).tobytes()
+
+
+def test_residual_and_cost_numpy_same_bits_for_every_thread_count(threads):
+    rng = np.random.default_rng(73)
+    field = rng.standard_normal((48, 48, 48))
+    phase = rng.standard_normal((48, 48, 48))
+    w2 = rng.uniform(0.0, 2.0, (48, 48, 48))
+    # large enough for the trig to be split across two threads
+    assert field.size >= 2 * core._CHUNK
+    # computed first: the kernel writes the residual over field
+    d = field - phase
+    expected = (w2 * np.sin(d), float(np.sum(2.0 * w2 * (1.0 - np.cos(d)))))
+    resid, cost = residual_and_cost(field, phase, w2)
+    assert resid is field
+    assert resid.tobytes() == expected[0].tobytes()
+    assert cost == expected[1]
+
+
+def test_weighted_sin_residual_numpy_same_bits_for_every_thread_count(threads):
+    rng = np.random.default_rng(74)
+    field = rng.standard_normal((48, 48, 48))
+    phase = rng.standard_normal((48, 48, 48))
+    w2 = rng.uniform(0.0, 2.0, (48, 48, 48))
+    assert field.size >= 2 * core._CHUNK
+    expected = w2 * np.sin(field - phase)
+    resid = weighted_sin_residual(field, phase, w2)
+    assert resid is field
+    assert resid.tobytes() == expected.tobytes()
+
+
+def test_residual_kernels_refuse_a_field_they_cannot_write_over():
+    phase = w2 = np.zeros((4, 4, 4))
+    for field in (np.zeros((4, 4, 4), dtype=np.float32), np.zeros((4, 4, 8))[:, :, ::2]):
+        with pytest.raises(ValueError, match="overwritten"):
+            weighted_sin_residual(field, phase, w2)
+        with pytest.raises(ValueError, match="overwritten"):
+            residual_and_cost(field, phase, w2)

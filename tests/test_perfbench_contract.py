@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qsmkit import PhantomSpec, ScalarVolume, Shape, VolumeGrid, core, simulate
+from qsmkit import PhantomSpec, ScalarVolume, Shape, VolumeGrid, _accel, core, simulate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,6 +28,14 @@ def test_tracer_attaches():
     tracer = _load("tracer").Tracer()
     wrapped = {original.__name__ for _, _, original, _ in tracer._swaps}
     assert {"rfftn", "irfftn", "weighted_sin_residual", "residual_and_cost", "rasterize_shapes"} <= wrapped
+
+
+def test_accel_only_names_kernels_that_live_with_their_callers():
+    # perfbench reads these names from _accel; their code stays in ndi and simulate
+    names = {name for name in vars(_accel) if not name.startswith("__")}
+    assert names == {"residual_and_cost", "trig_cost", "weighted_sin_residual", "rasterize_shapes", "USING_NUMBA"}
+    for name in names - {"USING_NUMBA"}:
+        assert getattr(_accel, name).__module__ in ("qsmkit.ndi", "qsmkit.simulate")
 
 
 def test_machine_facts():
@@ -52,7 +60,7 @@ def test_tracer_sees_calls_through_deferred_scipy_imports():
 
 
 def test_traced_phantom_records_one_rasterize_call():
-    # make_phantom reaches the rasterizer through the _accel module, where the tracer swaps it
+    # the tracer swaps the rasterizer in simulate too, where make_phantom calls it by its global name
     tracer = _load("tracer").Tracer()
     spec = PhantomSpec((Shape("sphere", (0.0, 0.0, 0.0), (2.0,), 0.1), Shape("cuboid", (1, 0, 0), (2, 2, 2), 0.2)))
     tracer.install()

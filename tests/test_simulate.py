@@ -15,7 +15,7 @@ from qsmkit import (
     simulate_acquisition,
 )
 from qsmkit.core import voxel_coords
-from qsmkit.simulate import wrap_phase
+from qsmkit.simulate import rasterize_shapes, wrap_phase
 
 from conftest import EZ, brute_phantom, ones_volume, rot_x
 
@@ -223,3 +223,9 @@ def test_noiseless_multi_orientation_cosmos_recovery():
     ds = simulate_acquisition(chi, mag, orients, NoiseSpec(0.0, 0))
     rec = cosmos(ds, CosmosConfig(eps=1e-6))
     assert nrmse(rec, chi, ds.mask) < 1e-6
+
+
+def test_rasterize_empty_shape_list():
+    xs = np.linspace(-2, 2, 5)
+    out = rasterize_shapes((xs, xs, xs), (), 0.7)
+    assert np.all(out == 0.7)
