@@ -22,7 +22,7 @@ from .core import (
 )
 from .dipole import DipoleKernel, adjoint_field, dipole_kernel, forward_field
 from .invert import CosmosConfig, L2Config, TkdConfig, cosmos, l2_closedform, tkd
-from .metrics import SsimConfig, data_consistency, nrmse, ssim3d
+from .metrics import data_consistency, nrmse, ssim3d
 from .ndi import NdiConfig, NdiDivergenceError, NdiResult, ndi_cost, ndi_gradient, ndi_reconstruct
 from .preprocess import SmvConfig, laplacian_unwrap, smv_filter
 from .simulate import NoiseSpec, PhantomSpec, Shape, make_phantom, simulate_acquisition
@@ -46,7 +46,6 @@ __all__ = [
     "ScalarVolume",
     "Shape",
     "SmvConfig",
-    "SsimConfig",
     "TkdConfig",
     "VolumeGrid",
     "adjoint_field",

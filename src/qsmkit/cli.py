@@ -22,7 +22,7 @@ from .core import _AXES, Acquisition, Orientation, OrientationDataset, ScalarVol
 from .dipole import dipole_kernel
 from .invert import CosmosConfig, L2Config, TkdConfig, cosmos, l2_closedform, tkd
 from .io import read_nifti, require_nifti_grid, require_nifti_volume, slice_to_pgm, write_nifti
-from .metrics import SsimConfig, data_consistency, nrmse, ssim3d
+from .metrics import data_consistency, nrmse, ssim3d
 from .ndi import NdiConfig, NdiDivergenceError, ndi_reconstruct
 from .preprocess import SmvConfig, laplacian_unwrap, smv_filter
 from .simulate import NoiseSpec, PhantomSpec, Shape, make_phantom, simulate_acquisition
@@ -139,11 +139,14 @@ def _load_volume(path) -> ScalarVolume:
 
 
 def _write_all(outputs, out_dir="."):
-    """Write a stage's {path: ScalarVolume, text or bytes} outputs and print one "wrote" line. Nothing
-    is written, nor out_dir made, unless every volume passes require_nifti_volume and every
-    path names a file in a directory that exists or is out_dir: a refused one leaves nothing."""
+    """Write a stage's (path, ScalarVolume, text or bytes) outputs and print one "wrote" line. Nothing
+    is written, nor out_dir made, unless the paths are distinct, every volume passes require_nifti_volume
+    and every path names a file in a directory that exists or is out_dir: a refused one leaves nothing."""
     made = os.path.normpath(out_dir)
-    for path, value in outputs.items():
+    paths = [os.path.normpath(path) for path, _ in outputs]
+    if repeated := sorted({path for path in paths if paths.count(path) > 1}):
+        raise ConfigError(f"two outputs at one path: {', '.join(repeated)}")
+    for path, value in outputs:
         if isinstance(value, ScalarVolume):
             require_nifti_volume(path, value)
         parent, name = os.path.split(path)
@@ -151,13 +154,13 @@ def _write_all(outputs, out_dir="."):
         if not name or "\0" in path or os.path.isdir(path) or not (os.path.isdir(parent) or parent == made):
             raise OSError(f"cannot write {path!r}: not a file name in an existing directory")
     os.makedirs(made, exist_ok=True)
-    for path, value in outputs.items():
+    for path, value in outputs:
         if isinstance(value, ScalarVolume):
             write_nifti(path, value)
         else:
             with open(path, "wb" if isinstance(value, bytes) else "w") as fh:
                 fh.write(value)
-    print(f"wrote {', '.join(outputs)}")
+    print(f"wrote {', '.join(path for path, _ in outputs)}")
 
 
 def _parse_orientation(vec) -> Orientation:
@@ -222,7 +225,7 @@ def cmd_phantom(args, cfg):
         mask = make_phantom(grid, PhantomSpec(_shapes(cfg, "mask", chi=1.0)))
     magnitude = ScalarVolume(grid, cfg["magnitude_inside"] * mask.data)
 
-    _write_all({args.out_chi: chi, args.out_magnitude: magnitude, args.out_mask: mask})
+    _write_all([(args.out_chi, chi), (args.out_magnitude, magnitude), (args.out_mask, mask)])
 
 
 def cmd_simulate(args, cfg):
@@ -237,24 +240,24 @@ def cmd_simulate(args, cfg):
     dataset = simulate_acquisition(chi, magnitude, orientations, noise, mask=mask)
 
     mask_name = f"{args.prefix}mask.nii"
-    outputs = {mask_name: dataset.mask}
+    outputs = [(mask_name, dataset.mask)]
     entries = []
     for r, entry in enumerate(dataset.entries):
         phase_name = f"{args.prefix}phase_{r:03d}.nii"
         mag_name = f"{args.prefix}magnitude_{r:03d}.nii"
-        outputs |= {phase_name: entry.phase, mag_name: entry.magnitude}
+        outputs += [(phase_name, entry.phase), (mag_name, entry.magnitude)]
         entries.append(
             {"phase": phase_name, "magnitude": mag_name, "orientation": list(entry.orientation.b)}
         )
     sidecar = {"seed": args.seed, "sigma": args.sigma, "mask": mask_name, "entries": entries}
-    outputs[f"{args.prefix}dataset.json"] = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    _write_all({os.path.join(args.out_dir, name): value for name, value in outputs.items()}, args.out_dir)
+    outputs.append((f"{args.prefix}dataset.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n"))
+    _write_all([(os.path.join(args.out_dir, name), value) for name, value in outputs], args.out_dir)
 
 
 def cmd_unwrap(args, cfg):
     phase = _load_volume(args.phase)
     mask = _load_volume(args.mask)
-    _write_all({args.out: laplacian_unwrap(phase, mask)})
+    _write_all([(args.out, laplacian_unwrap(phase, mask))])
 
 
 def cmd_smv(args, cfg):
@@ -262,7 +265,7 @@ def cmd_smv(args, cfg):
     phase = _load_volume(args.phase)
     mask = _load_volume(args.mask)
     tissue, reliable = smv_filter(phase, mask, smv_cfg)
-    _write_all({args.out: tissue} | ({args.reliable_mask_out: reliable} if args.reliable_mask_out else {}))
+    _write_all([(args.out, tissue)] + ([(args.reliable_mask_out, reliable)] if args.reliable_mask_out else []))
 
 
 def _load_dataset(args, mask: ScalarVolume, phase_scale: float) -> OrientationDataset:
@@ -315,6 +318,10 @@ def cmd_invert(args, cfg):
     algo = args.algo
     if algo not in _SOLVERS:
         raise ConfigError(f"unknown algorithm {algo!r}, expected one of {', '.join(_SOLVERS)}")
+    if args.dataset is not None and (args.phase or args.magnitude or args.bvec):
+        raise ConfigError("--dataset lists the inputs: give it without --phase, --magnitude and --bvec")
+    if algo != "ndi" and (args.history_out or args.reference):
+        raise ConfigError(f"--history-out and --reference are read only by --algo ndi, not {algo}")
     kind, fields = _SOLVERS[algo]
     values = {name: getattr(args, key) for name, key in fields.items()}
     if algo == "ndi":
@@ -324,7 +331,7 @@ def cmd_invert(args, cfg):
     mask = _load_volume(args.mask)
     dataset = _load_dataset(args, mask, args.phase_scale)
 
-    outputs = {}
+    history = []
     if algo == "cosmos":
         result = cosmos(dataset, solver_cfg)
     elif algo in ("tkd", "l2"):
@@ -341,8 +348,8 @@ def cmd_invert(args, cfg):
             columns = {name: column for name, column in columns.items() if column is not None}
             rows = [",".join([str(i), *(f"{v:.17g}" for v in row)])
                     for i, row in enumerate(zip(*columns.values()), start=1)]
-            outputs[args.history_out] = "\n".join([",".join(["iteration", *columns]), *rows, ""])
-    _write_all({args.out: ScalarVolume(dataset.grid, result.data * mask.data)} | outputs)
+            history = [(args.history_out, "\n".join([",".join(["iteration", *columns]), *rows, ""]))]
+    _write_all([(args.out, ScalarVolume(dataset.grid, result.data * mask.data)), *history])
 
 
 def cmd_metrics(args, cfg):
@@ -355,7 +362,7 @@ def cmd_metrics(args, cfg):
         "ref": args.ref,
         "mask": args.mask,
         "nrmse": nrmse(x, ref, mask),
-        "ssim": ssim3d(x, ref, mask, SsimConfig()),
+        "ssim": ssim3d(x, ref, mask),
     }
     if args.dataset is not None:
         dataset = _load_dataset(args, mask, phase_scale=1.0)
@@ -363,7 +370,7 @@ def cmd_metrics(args, cfg):
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        _write_all({args.out: text + "\n"})
+        _write_all([(args.out, text + "\n")])
     else:
         print(text)
 
@@ -372,7 +379,7 @@ def cmd_slice(args, cfg):
     if args.axis not in _AXES:
         raise ConfigError(f"axis must be x, y or z, got {args.axis!r}")
     volume = _load_volume(args.volume)
-    _write_all({args.out: slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max)})
+    _write_all([(args.out, slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max))])
 
 
 # -------------------------------------------------------------------- main

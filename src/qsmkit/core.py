@@ -106,6 +106,11 @@ def for_slabs(fn, n, stride=1):
             f.result()
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer, and False for a bool, a float or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class VolumeGrid:
     """Sampling lattice: integer extents and voxel spacing in millimeters."""
@@ -114,6 +119,8 @@ class VolumeGrid:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        if not all(_is_integer(n) for n in self.dims):
+            raise ValueError(f"grid extents must be integers, got {self.dims!r}")
         dims = tuple(int(n) for n in self.dims)
         spacing = tuple(float(s) for s in self.spacing)
         if len(dims) != 3 or len(spacing) != 3:

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OrientationDataset, ScalarVolume, for_slabs, irfft3, require_binary_mask, rfft3, spectral_apply
+from .core import (
+    OrientationDataset, ScalarVolume, _is_integer, for_slabs, irfft3, require_binary_mask, rfft3, spectral_apply
+)
 from .dipole import dipole_kernel
 
 __all__ = ["NdiConfig", "NdiResult", "NdiDivergenceError", "ndi_cost", "ndi_gradient", "ndi_reconstruct"]
@@ -50,7 +52,7 @@ class NdiConfig:
             raise ValueError("step size must be positive and finite")
         if not (self.lam >= 0 and np.isfinite(self.lam)):
             raise ValueError("lambda must be finite and >= 0")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if not _is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.reference is not None and not self.record_history:
             raise ValueError("reference is read only by the NRMSE history: it needs record_history")

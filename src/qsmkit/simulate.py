@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     _AXES,
+    _is_integer,
     Acquisition,
     OrientationDataset,
     ScalarVolume,
@@ -116,7 +117,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.sigma <= _MAX_SIGMA:
             raise ValueError(f"noise sigma must be >= 0 and at most {_MAX_SIGMA:g}, got {self.sigma}")
-        if not isinstance(self.seed, (int, np.integer)):
+        if not _is_integer(self.seed):
             raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
 
 

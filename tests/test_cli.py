@@ -409,6 +409,33 @@ def test_reference_without_history_out_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out.nii").exists()
 
 
+@pytest.mark.parametrize("flag", [("--phase", "chi.nii"), ("--magnitude", "mag.nii"), ("--bvec", "1,0,0")])
+def test_invert_refuses_a_dataset_with_the_flags_it_would_ignore(tmp_path, capsys, monkeypatch, flag):
+    # the sidecar lists every input: --phase, --magnitude and --bvec beside it would be read and ignored
+    monkeypatch.chdir(tmp_path)
+    dataset = _small_dataset(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert _invert(tmp_path, dataset, "--algo", "cosmos", *flag) == 2
+    assert "--dataset" in _one_line_error(capsys)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("algo", ["tkd", "cosmos", "l2"])
+@pytest.mark.parametrize("flags", [("--history-out", "h.csv"), ("--reference", "chi.nii"),
+                                   ("--history-out", "h.csv", "--reference", "chi.nii")])
+def test_invert_refuses_history_options_for_an_algorithm_other_than_ndi(tmp_path, capsys, monkeypatch,
+                                                                        algo, flags):
+    # only NDI records a history: any other algorithm would write no CSV and exit 0
+    monkeypatch.chdir(tmp_path)
+    dataset = _small_dataset(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert _invert(tmp_path, dataset, "--algo", algo, *flags) == 2
+    assert f"--algo ndi, not {algo}" in _one_line_error(capsys)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -735,6 +762,22 @@ def test_stage_with_an_unwritable_output_path_exits_1_and_writes_nothing(tmp_pat
     assert "cannot write" in message
 
 
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--config", "config.json", "--out-chi", "a.nii", "--out-magnitude", "b.nii", "--out-mask", "./a.nii"],
+    [*_INVERT, "--history-out", "x.nii"],
+    ["smv", "--phase", "chi.nii", "--mask", "mask.nii", "--out", "t.nii", "--reliable-mask-out", "t.nii"],
+], ids=["phantom", "invert", "smv"])
+def test_stage_with_two_outputs_at_one_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    # the second write would replace the first, so the stage would lose an output and still exit 0
+    monkeypatch.chdir(tmp_path)
+    _small_dataset(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "two outputs at one path" in _one_line_error(capsys)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("out_dir", ["sim/", "a/b"])
 def test_simulate_makes_its_out_dir_and_names_every_file_it_wrote(tmp_path, capsys, monkeypatch, out_dir):
     monkeypatch.chdir(tmp_path)
@@ -851,7 +894,8 @@ def inputs(tmp_path_factory):
 
 
 def _valid_config(command, algo, inputs):
-    """A config giving every option of command a valid value; outputs are relative names."""
+    """A config giving every option of command a valid value; outputs are relative names.
+    invert's history_out and reference are given with algo ndi only, the one algorithm that reads them."""
     volume, mask = str(inputs / "chi.nii"), str(inputs / "mask.nii")
     return {
         "phantom": {"out_chi": "c.nii", "out_magnitude": "m.nii", "out_mask": "k.nii"},
@@ -864,7 +908,7 @@ def _valid_config(command, algo, inputs):
         "invert": {"algo": algo, "dataset": str(inputs / "sim" / "dataset.json"), "mask": mask,
                    "out": "x.nii", "phase_scale": 1.0, "tkd_delta": 0.2, "cosmos_eps": 1e-6,
                    "l2_lambda": 0.01, "ndi_lambda": 0.001, "ndi_iters": 3, "ndi_step": 1.0,
-                   "history_out": "h.csv", "reference": volume},
+                   **({"history_out": "h.csv", "reference": volume} if algo == "ndi" else {})},
         "metrics": {"x": volume, "ref": volume, "mask": mask,
                     "dataset": str(inputs / "sim" / "dataset.json"), "out": "r.json"},
         "slice": {"volume": volume, "axis": "z", "index": 4, "window_min": 0, "window_max": 0.1,

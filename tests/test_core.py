@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from qsmkit import (
     ifft3,
     mask_erode,
 )
+import qsmkit
 from qsmkit import core
 from qsmkit.core import ball_offsets, fft_workers, frequency_axes, rfft3, spectral_apply
 from qsmkit.dipole import dipole_kernel
@@ -39,6 +43,10 @@ def test_grid_validation():
             VolumeGrid((4, 4, 4), spacing)
     with pytest.raises(ValueError):
         VolumeGrid((4, 4))
+    for dims in [(8.7, 8, 8), (8, 8.0, 8), (True, 8, 8)]:
+        with pytest.raises(ValueError, match="integers"):
+            VolumeGrid(dims)
+    assert VolumeGrid((np.int64(8), np.int32(7), 6)).dims == (8, 7, 6)
     g = VolumeGrid((4, 5, 6), (1.0, 0.5, 2.0))
     assert g.n_voxels == 120
     assert g.compatible(VolumeGrid((4, 5, 6), (1.0, 0.5, 2.0)))
@@ -430,3 +438,14 @@ def test_spectral_apply_with_dipole_symbol_is_self_adjoint(grid, direction, seed
 def test_half_spectrum_norm_is_parseval(grid, seed):
     x = np.random.default_rng(seed).standard_normal(grid.dims)
     assert _half_norm2(rfft3(x), grid.dims) == pytest.approx(float(np.sum(x * x)), rel=1e-12)
+
+
+def test_every_exported_name_resolves_and_star_import_runs():
+    # the README's example starts with `from qsmkit import *`, which fails on a stale __all__ name
+    modules = [qsmkit, *(importlib.import_module(f"qsmkit.{m.name}") for m in pkgutil.iter_modules(qsmkit.__path__))]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names {name!r}, which it lacks"
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(getattr(module, "__all__", ())) <= set(namespace)

@@ -10,7 +10,6 @@ from qsmkit import (
     NoiseSpec,
     OrientationDataset,
     ScalarVolume,
-    SsimConfig,
     TkdConfig,
     VolumeGrid,
     data_consistency,
@@ -23,6 +22,7 @@ from qsmkit import (
 )
 from qsmkit import core
 from qsmkit.core import voxel_coords
+from qsmkit.metrics import K1, K2, SIGMA, WINDOW
 
 from conftest import EZ, ones_volume, random_volume, rot_x
 
@@ -95,12 +95,12 @@ def test_ssim_noise_vs_structure_is_low():
 
 
 def test_ssim_symmetric_with_fixed_range():
+    # b holds a's samples in another order: the same in-mask range, so the same c1 and c2 both ways
     g = VolumeGrid((24, 24, 24))
     rng = np.random.default_rng(53)
     a = random_volume(g, rng)
-    b = random_volume(g, rng)
-    cfg = SsimConfig(dynamic_range=4.0)
-    assert ssim3d(a, b, ones_volume(g), cfg) == ssim3d(b, a, ones_volume(g), cfg)
+    b = ScalarVolume(g, rng.permutation(a.data.ravel()).reshape(g.dims))
+    assert ssim3d(a, b, ones_volume(g)) == ssim3d(b, a, ones_volume(g))
 
 
 def test_ssim_errors():
@@ -114,31 +114,10 @@ def test_ssim_errors():
     mask = ScalarVolume.zeros(g)
     with pytest.raises(ValueError):
         ssim3d(_structured(g), _structured(g), mask)
-    with pytest.raises(ValueError):
-        SsimConfig(window=6)
-    with pytest.raises(ValueError):
-        SsimConfig(k1=0.0)
-    # finite values whose window weights or constants are not: sigma**2 underflows, c1 overflows
-    with pytest.raises(ValueError, match="gaussian_sigma"):
-        SsimConfig(gaussian_sigma=1e-200)
-    with pytest.raises(ValueError, match="dynamic_range"):
-        SsimConfig(dynamic_range=1e200)
+    # a finite range whose c1 = (K1 * range)**2 overflows
     wide = ScalarVolume(g, 1e200 * _structured(g).data)
     with pytest.raises(ValueError, match="dynamic_range"):
         ssim3d(wide, wide, ones_volume(g))  # the range taken from the reference
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("field", ["gaussian_sigma", "k1", "k2", "dynamic_range"])
-def test_ssim_config_refuses_non_finite_values(field, value):
-    with pytest.raises(ValueError, match=field):
-        SsimConfig(**{field: value})
-
-
-@pytest.mark.parametrize("window", [7.0, "7", None])
-def test_ssim_config_refuses_a_window_that_is_not_an_integer(window):
-    with pytest.raises(ValueError, match="window"):
-        SsimConfig(window=window)
 
 
 def test_data_consistency_trivials(grid16):
@@ -184,8 +163,9 @@ def test_nrmse_and_ssim_refuse_values_whose_sums_overflow(grid16):
             nrmse(x, ref, ones_volume(grid16))
     with pytest.raises(ValueError, match="dynamic_range inf .* overflows"):
         ssim3d(small, huge, ones_volume(grid16))
-    with pytest.raises(ValueError, match="SSIM overflows"):  # a given range: the second moments overflow
-        ssim3d(huge, huge, ones_volume(grid16), SsimConfig(dynamic_range=1.0))
+    fits = ScalarVolume(grid16, 1e153 * signs)  # c1 and c2 are finite: the second moments' products overflow
+    with pytest.raises(ValueError, match="SSIM overflows"):
+        ssim3d(fits, fits, ones_volume(grid16))
 
 
 def test_tkd_beats_l2_on_data_consistency():
@@ -217,19 +197,19 @@ def test_ssim_same_bits_for_every_thread_count(threads, monkeypatch, dims, spaci
     assert np.float64(got).tobytes() == np.float64(ssim3d(x, ref, mask)).tobytes()
 
 
-def _full_grid_ssim(x, ref, mask, cfg=SsimConfig()):
+def _full_grid_ssim(x, ref, mask):
     """ssim3d with every filter pass over the whole volume."""
-    half = cfg.window // 2
+    half = WINDOW // 2
     dims = x.shape
     valid = np.zeros(dims, dtype=bool)
     valid[half : dims[0] - half, half : dims[1] - half, half : dims[2] - half] = True
     valid &= mask > 0.5
     rv = ref[mask > 0.5]
-    drange = cfg.dynamic_range if cfg.dynamic_range is not None else float(rv.max() - rv.min())
-    c1 = (cfg.k1 * drange) ** 2
-    c2 = (cfg.k2 * drange) ** 2
-    taps = np.arange(cfg.window, dtype=np.float64) - half
-    weights = np.exp(-(taps**2) / (2.0 * cfg.gaussian_sigma**2))
+    drange = float(rv.max() - rv.min())
+    c1 = (K1 * drange) ** 2
+    c2 = (K2 * drange) ** 2
+    taps = np.arange(WINDOW, dtype=np.float64) - half
+    weights = np.exp(-(taps**2) / (2.0 * SIGMA**2))
     weights /= weights.sum()
 
     def local_mean(data):
@@ -251,8 +231,8 @@ def _full_grid_ssim(x, ref, mask, cfg=SsimConfig()):
 @st.composite
 def _ssim_cases(draw):
     """Volumes of 7-24 voxels per axis with a mask of random density, confined
-    to a random sub-box, of one voxel, or on the faces of the scored region;
-    the dynamic range is taken from the reference or given."""
+    to a random sub-box, of one scored voxel and one outside the scored region
+    (so the reference's in-mask range is not 0), or on the faces of the scored region."""
     dims = draw(st.tuples(*[st.integers(7, 24)] * 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["density", "sub-box", "one voxel", "valid border"]))
@@ -265,6 +245,7 @@ def _ssim_cases(draw):
         mask[box] = rng.random(mask[box].shape) < 0.7
     elif kind == "one voxel":
         mask[tuple(draw(st.integers(3, n - 4)) for n in dims)] = True
+        mask[0, 0, 0] = True  # no window around it fits in the volume
     else:
         axis = draw(st.integers(0, 2))
         face = draw(st.sampled_from([3, dims[axis] - 4]))
@@ -272,23 +253,21 @@ def _ssim_cases(draw):
         mask[3, 3, 3] = mask[-4, -4, -4] = True
     x = rng.standard_normal(dims)
     ref = x + draw(st.floats(0.0, 2.0)) * rng.standard_normal(dims)
-    given_range = st.floats(0.5, 8.0)
-    cfg = SsimConfig(dynamic_range=draw(given_range if kind == "one voxel" else st.none() | given_range))
-    return VolumeGrid(dims), x, ref, mask.astype(float), cfg
+    return VolumeGrid(dims), x, ref, mask.astype(float)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_ssim_cases())
 def test_ssim_equals_the_full_grid_formula(case):
-    g, x, ref, mask, cfg = case
+    g, x, ref, mask = case
     volumes = ScalarVolume(g, x), ScalarVolume(g, ref), ScalarVolume(g, mask)
     if not np.any(mask[3:-3, 3:-3, 3:-3]):
         with pytest.raises(ValueError, match="full SSIM window"):
-            ssim3d(*volumes, cfg)
+            ssim3d(*volumes)
         return
-    assume(cfg.dynamic_range is not None or np.ptp(ref[mask > 0.5]) > 0)
-    got = ssim3d(*volumes, cfg)
-    assert np.float64(got).tobytes() == np.float64(_full_grid_ssim(x, ref, mask, cfg)).tobytes()
+    assume(np.ptp(ref[mask > 0.5]) > 0)
+    got = ssim3d(*volumes)
+    assert np.float64(got).tobytes() == np.float64(_full_grid_ssim(x, ref, mask)).tobytes()
 
 
 def test_ssim_filters_only_the_box_of_the_scored_voxels(monkeypatch):

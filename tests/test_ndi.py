@@ -320,7 +320,7 @@ def test_config_validation():
         NdiConfig(lam=-0.1)
     with pytest.raises(ValueError):
         NdiConfig(max_iters=0)
-    for max_iters in (2.5, float("inf")):
+    for max_iters in (2.5, float("inf"), True):
         with pytest.raises(ValueError, match="max_iters"):
             NdiConfig(max_iters=max_iters)
     assert NdiConfig(max_iters=np.int64(3)).max_iters == 3
