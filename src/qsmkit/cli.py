@@ -76,24 +76,14 @@ def _integer(value):
     raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
 
 
-def _converted(kind, value, what):
-    """value as kind (a flag type); a value kind rejects, or a JSON boolean, is a ConfigError."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError(f"true/false is not a valid value here, got {value!r}")
-        return kind(value)
-    except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
 _REQUIRED = object()  # the default of an option or a config key that must be given
 
 
-def _config(kind, what, /, **values):
-    """kind(**values); a value kind rejects is a ConfigError naming what."""
+def _config(kind, what, /, *args, **values):
+    """kind(*args, **values), kind a flag type or a config class; a value it rejects is a ConfigError."""
     try:
-        return kind(**values)
-    except ValueError as exc:
+        return kind(*args, **values)
+    except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -129,7 +119,9 @@ def _walk(schema, value, where, path=""):
         if not isinstance(value, list) or (schema.nonempty and not value):
             raise ConfigError(f"{at}: expected a {'non-empty ' * schema.nonempty}list, got {value!r}")
         return [_walk(schema.item, v, where, f"{path}[{i}]") for i, v in enumerate(value)]
-    return _converted(schema, value, at)
+    if isinstance(value, bool):
+        raise ConfigError(f"{at}: true/false is not a valid value here, got {value!r}")
+    return _config(schema, at, value)
 
 
 def _load_volume(path) -> ScalarVolume:
@@ -138,14 +130,19 @@ def _load_volume(path) -> ScalarVolume:
     return read_nifti(path)
 
 
+def _require_distinct(paths):
+    """Refuse two outputs at one path: the second write would replace the first."""
+    paths = [os.path.normpath(path) for path in paths]
+    if repeated := sorted({path for path in paths if paths.count(path) > 1}):
+        raise ConfigError(f"two outputs at one path: {', '.join(repeated)}")
+
+
 def _write_all(outputs, out_dir="."):
     """Write a stage's (path, ScalarVolume, text or bytes) outputs and print one "wrote" line. Nothing
     is written, nor out_dir made, unless the paths are distinct, every volume passes require_nifti_volume
     and every path names a file in a directory that exists or is out_dir: a refused one leaves nothing."""
     made = os.path.normpath(out_dir)
-    paths = [os.path.normpath(path) for path, _ in outputs]
-    if repeated := sorted({path for path in paths if paths.count(path) > 1}):
-        raise ConfigError(f"two outputs at one path: {', '.join(repeated)}")
+    _require_distinct(path for path, _ in outputs)
     for path, value in outputs:
         if isinstance(value, ScalarVolume):
             require_nifti_volume(path, value)
@@ -322,6 +319,7 @@ def cmd_invert(args, cfg):
         raise ConfigError("--dataset lists the inputs: give it without --phase, --magnitude and --bvec")
     if algo != "ndi" and (args.history_out or args.reference):
         raise ConfigError(f"--history-out and --reference are read only by --algo ndi, not {algo}")
+    _require_distinct(filter(None, (args.out, args.history_out)))  # before the solve
     kind, fields = _SOLVERS[algo]
     values = {name: getattr(args, key) for name, key in fields.items()}
     if algo == "ndi":
@@ -445,13 +443,13 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with its usage errors reported as one "error: ..." line, exit 2.
+    """argparse with its usage errors raised as a ConfigError, which main reports.
 
     Subparsers are made with the class of their parent, so they report alike.
     """
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        raise ConfigError(message)
 
 
 def _build_parser():
@@ -474,9 +472,9 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the exit code is returned, and only --help exits through SystemExit(0)."""
     try:
+        args = _build_parser().parse_args(argv)
         _config(fft_workers, "environment")  # a malformed QSM_THREADS, before any work
         cfg = _load_json_object(args.config, "config") if args.config is not None else {}
         flags = {key: getattr(args, key) for key in args.schema if getattr(args, key) is not None}
@@ -492,12 +490,9 @@ def main(argv=None) -> int:
             args.bvec = _walk(_ORIENTATIONS, [b.split(",") for b in args.bvec], "--bvec")
         args.func(args, cfg)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, NdiDivergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -61,17 +61,17 @@ class GridMismatchError(ValueError):
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls; QSM_THREADS caps it, 0 or unset means auto.
+    """Worker count for FFT calls; QSM_THREADS caps it, 0 (in any spelling) or unset means auto.
 
-    Raises ValueError naming QSM_THREADS when it is not an integer.
+    Raises ValueError naming QSM_THREADS when it is not a non-negative integer.
     """
     raw = os.environ.get("QSM_THREADS", "").strip()
-    if raw in ("", "0"):
-        return os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        if (threads := int(raw or 0)) >= 0:
+            return threads or os.cpu_count() or 1
     except ValueError:
-        raise ValueError(f"QSM_THREADS must be an integer (0 = auto), got {raw!r}") from None
+        pass
+    raise ValueError(f"QSM_THREADS must be a non-negative integer (0 = auto), got {raw!r}")
 
 
 # A slab holds at least this many voxels, so threads start at twice it. On a

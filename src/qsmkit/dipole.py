@@ -78,7 +78,8 @@ def forward_field(chi: ScalarVolume, kernel: DipoleKernel) -> ScalarVolume:
 def adjoint_field(phi: ScalarVolume, kernel: DipoleKernel) -> ScalarVolume:
     """Adjoint of the field model; equals forward_field since d(k) is real and even.
 
-    Kept as a named operation so gradient code reads like the analytic
-    derivation it implements.
+    No qsmkit code calls it: ndi_gradient applies the kernel through
+    spectral_apply. It is kept as public API, for the adjoint tests in
+    test_dipole.py, and as a target of perfbench's dipole.field span.
     """
     return forward_field(phi, kernel)

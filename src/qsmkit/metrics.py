@@ -43,7 +43,7 @@ def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
     if not (math.isfinite(ref_norm) and math.isfinite(err_norm)):
         raise ValueError("NRMSE overflows the float64 range for these volumes")
     if ref_norm == 0.0:
-        raise ValueError("reference is identically zero inside the mask")
+        raise ValueError("reference is constant inside the mask")
     return err_norm / ref_norm
 
 

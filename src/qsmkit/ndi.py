@@ -221,7 +221,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
         ref_centered = ref_centered - ref_centered.mean()
         ref_norm = float(np.linalg.norm(ref_centered))
         if ref_norm == 0.0:
-            raise ValueError("NRMSE reference is identically zero inside the mask")
+            raise ValueError("NRMSE reference is constant inside the mask")
 
     tau = cfg.step_size
     lam = cfg.lam

@@ -277,9 +277,7 @@ def test_metrics_on_an_empty_mask_exits_1_with_one_line(tmp_path, capsys, monkey
 @pytest.mark.parametrize("flag", [["--phase", "chi.nii"], ["--magnitude", "chi.nii"], ["--bvec", "0,0,1"]])
 def test_metrics_refuses_the_data_flags_it_would_ignore(flag, capsys):
     # metrics reads a dataset only from --dataset; invert's repeatable flags are usage errors here
-    with pytest.raises(SystemExit) as exc:
-        main(["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", *flag])
-    assert exc.value.code == 2
+    assert main(["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", *flag]) == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in _one_line_error(capsys)
 
 
@@ -633,6 +631,8 @@ _SLICE = ["slice", "--volume", "chi.nii", "--axis", "z", "--out", "slice.pgm"]
         (["phantom"], '{"grid": {"dims": [8, 8, 8], "spacing": [1e-50, 1, 1]}}'),
         (["phantom"], '{"grid": {"dims": [1000000, 1000000, 1]}}'),
         (["simulate"], '{"orientations": []}'),
+        (["phantom"], '{"grid": {"dims": [8, 8, 8]}, '
+                      '"phantom": {"shapes": [{"kind": "sphere", "center": [0, 0], "size": [2]}]}}'),
     ],
     ids=["phantom-list", "mask-list", "mask-shape-number", "outputs-list", "magnitude-inside-text",
          "background-text", "grid-dim-overflow", "orientations-number", "seed-overflow",
@@ -645,7 +645,7 @@ _SLICE = ["slice", "--volume", "chi.nii", "--axis", "z", "--out", "slice.pgm"]
          "orientation-booleans", "seed-boolean", "ndi-lambda-boolean", "grid-dim-fraction",
          "grid-dims-text", "grid-spacing-text", "shape-center-text", "grid-dim-past-int16",
          "grid-spacing-past-float32", "grid-spacing-below-float32", "grid-past-memory",
-         "orientations-empty"],
+         "orientations-empty", "shape-center-two-coordinates"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, monkeypatch, argv, config):
     dataset = _small_dataset(tmp_path)
@@ -697,10 +697,11 @@ def test_smv_radius_reaching_no_neighbour_exits_1_and_writes_nothing(tmp_path, c
 def test_malformed_qsm_threads_exits_2(tmp_path, capsys, monkeypatch):
     dataset = _small_dataset(tmp_path)
     capsys.readouterr()
-    monkeypatch.setenv("QSM_THREADS", "abc")
-    assert _invert(tmp_path, dataset, "--algo", "tkd") == 2
-    assert "QSM_THREADS" in _one_line_error(capsys)
-    assert not (tmp_path / "out.nii").exists()
+    for value in ("abc", "-2"):
+        monkeypatch.setenv("QSM_THREADS", value)
+        assert _invert(tmp_path, dataset, "--algo", "tkd") == 2, value
+        assert "QSM_THREADS" in _one_line_error(capsys)
+        assert not (tmp_path / "out.nii").exists()
 
 
 def test_chi_beyond_float32_exits_1_without_writing(tmp_path, capsys):
@@ -771,10 +772,46 @@ def test_stage_with_two_outputs_at_one_path_exits_2_and_writes_nothing(tmp_path,
     # the second write would replace the first, so the stage would lose an output and still exit 0
     monkeypatch.chdir(tmp_path)
     _small_dataset(tmp_path)
+    if argv[0] == "invert":  # refused with the other option rules, before any volume is read
+        for name in ("read_nifti", "ndi_reconstruct"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("called before the refusal"))
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main(argv) == 2
     assert "two outputs at one path" in _one_line_error(capsys)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+_NO_DATA = ["invert", "--algo", "ndi", "--mask", "mask.nii", "--out", "x.nii"]
+_PHASE = ["--phase", "sim/phase_000.nii", "--bvec", "0,0,1"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["phantom", "--config", "nope.json"], 2, "config file not found: nope.json"),
+    (_NO_DATA, 2, "no input data"),
+    ([*_NO_DATA, *_PHASE, "--phase", "sim/phase_000.nii"], 2, "2 --phase flags but 1 --bvec flags"),
+    ([*_NO_DATA, *_PHASE, "--magnitude", "mag.nii", "--magnitude", "mag.nii"], 2,
+     "1 --phase flags but 2 --magnitude flags"),
+    (["invert", "--algo", "ndi", "--dataset", "sim/dataset.json", "--mask", "empty.nii", "--out", "x.nii"], 1,
+     "dataset mask is empty"),
+    (["simulate", "--chi", "chi.nii", "--magnitude", "negative.nii", "--mask", "mask.nii", "--bvec", "0,0,1",
+      "--out-dir", "new"], 1, "magnitude must be non-negative"),
+    (["metrics", "--x", "chi.nii", "--ref", "constant.nii", "--mask", "mask.nii", "--out", "r.json"], 1,
+     "reference is constant inside the mask"),
+    ([*_INVERT, "--history-out", "h.csv", "--reference", "constant.nii"], 1,
+     "NRMSE reference is constant inside the mask"),
+], ids=["config-not-found", "no-input-data", "phase-bvec-count", "phase-magnitude-count", "empty-mask",
+        "negative-magnitude", "metrics-constant-reference", "invert-constant-reference"])
+def test_refused_stage_exits_with_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    _small_dataset(tmp_path)
+    grid = read_nifti("mask.nii").grid
+    for name, value in [("empty.nii", 0.0), ("negative.nii", -1.0), ("constant.nii", 0.05)]:
+        write_nifti(name, ScalarVolume.full(grid, value))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == code
+    assert message in _one_line_error(capsys)
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -870,9 +907,7 @@ def test_child_env_imports_qsmkit_under_test_from_any_cwd(tmp_path):
 
 
 def test_missing_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    assert main([]) == 2
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -1005,9 +1040,7 @@ def test_missing_required_option_exits_2_naming_it(tmp_path, inputs, capsys, mon
     [],
 ])
 def test_refused_flag_value_is_one_error_line(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,4 +1,5 @@
 import importlib
+import os
 import pkgutil
 
 import numpy as np
@@ -80,6 +81,8 @@ def test_volume_copies_input(grid8):
 def test_orientation_validation():
     with pytest.raises(ValueError):
         Orientation((0.0, 0.0, 2.0))
+    with pytest.raises(ValueError, match="3 components"):
+        Orientation((1.0, 0.0))
     with pytest.raises(ValueError):
         Orientation.from_vector((0.0, 0.0, 0.0))
     o = Orientation.from_vector((3.0, 0.0, 4.0))
@@ -403,9 +406,13 @@ def test_mask_erode_equals_binary_erosion(case):
 def test_fft_workers_reads_qsm_threads(monkeypatch):
     monkeypatch.setenv("QSM_THREADS", "3")
     assert fft_workers() == 3
-    monkeypatch.setenv("QSM_THREADS", "abc")
-    with pytest.raises(ValueError, match="QSM_THREADS"):
-        fft_workers()
+    for auto in ("0", "00", "-0", " 0 ", ""):
+        monkeypatch.setenv("QSM_THREADS", auto)
+        assert fft_workers() == (os.cpu_count() or 1), auto
+    for value in ("abc", "-2", "-1"):
+        monkeypatch.setenv("QSM_THREADS", value)
+        with pytest.raises(ValueError, match="QSM_THREADS"):
+            fft_workers()
 
 
 # ------------------------------------------------------- spectral core

@@ -62,7 +62,7 @@ def test_nrmse_error_scale_covariance(grid16):
 
 def test_nrmse_zero_reference_rejected(grid16):
     mask = ones_volume(grid16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reference is constant inside the mask"):
         nrmse(ones_volume(grid16), ScalarVolume.full(grid16, 3.0), mask)  # constant ref
 
 

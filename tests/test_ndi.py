@@ -246,6 +246,24 @@ def test_non_finite_final_cost_names_the_last_iteration(grid8):
             ndi_reconstruct(ds, cfg)
 
 
+@pytest.mark.parametrize("record_history", [False, True])
+def test_iterate_overflowing_at_the_last_update_names_the_last_iteration(grid8, record_history):
+    # the one residual and cost are of chi = 0, both finite; only the guard
+    # on the produced iterate, after the loop, sees the overflowed update
+    ds = _random_dataset(grid8, np.random.default_rng(0), n_orient=1)
+    cfg = NdiConfig(step_size=1e307, lam=0.0, max_iters=1, record_history=record_history)
+    with pytest.raises(NdiDivergenceError, match="iterate became non-finite at iteration 1"):
+        ndi_reconstruct(ds, cfg)
+
+
+def test_constant_reference_rejected(grid8):
+    ds = _random_dataset(grid8, np.random.default_rng(0), n_orient=1)
+    # 0.5 everywhere: its in-mask mean is exact, so the mean-removed reference is exactly zero
+    cfg = NdiConfig(max_iters=1, record_history=True, reference=ScalarVolume.full(grid8, 0.5))
+    with pytest.raises(ValueError, match="NRMSE reference is constant inside the mask"):
+        ndi_reconstruct(ds, cfg)
+
+
 def _sphere_dataset_48(n_orient):
     g = VolumeGrid((48, 48, 48))
     xs, ys, zs = voxel_coords(g)
