@@ -13,10 +13,11 @@ Conventions used throughout the package:
   correct dipole kernels,
 * physical voxel coordinates put the origin at voxel index ``dims // 2``.
 
-The passes off the FFT path (the SSIM filters, the unwrap and NDI trig) run
-in one contiguous slab per FFT worker through ``for_slabs``, each slab
-computed as the whole volume would be, so the bits do not depend on the
-thread count. Mask erosion is a short chain of boolean ANDs of shifted views
+The passes off the FFT path (the SSIM filters, the unwrap and NDI trig, the
+simulator's signal) run in one contiguous slab per FFT worker through
+``for_slabs``, each slab computed as the whole volume would be, so the bits do
+not depend on the thread count; ``in_background`` runs the simulator's serial
+noise draw beside a transform. Mask erosion is a short chain of boolean ANDs of shifted views
 on the caller (``mask_erode``), in numpy alone, over the mask's bounding box;
 the SSIM filters run on the box of the voxels they score.
 
@@ -104,6 +105,12 @@ def for_slabs(fn, n, stride=1):
     finally:
         for f in futures:
             f.result()
+
+
+def in_background(fn, *args):
+    """A callable giving fn(*args), which is started on the pool now if there is more than one
+    FFT worker, else called on the caller when asked. fn calls only numpy, as in for_slabs."""
+    return _pool.submit(fn, *args).result if fft_workers() > 1 else lambda: fn(*args)
 
 
 def _is_integer(value) -> bool:

@@ -20,41 +20,49 @@ __all__ = ["DipoleKernel", "dipole_kernel", "forward_field", "adjoint_field"]
 
 @dataclass(frozen=True, eq=False)
 class DipoleKernel:
-    """d(k) sampled in FFT order for one B0 orientation on one grid."""
+    """d(k) for one B0 orientation on one grid, on the half-spectrum of core.rfft3 (last axis
+    nz // 2 + 1), in FFT order. The full lattice, ``values``, is derived from it on request."""
 
     grid: VolumeGrid
     orientation: Orientation
-    values: np.ndarray
+    half: np.ndarray
 
     @property
-    def half(self) -> np.ndarray:
-        """View of the kernel on the half-spectrum of core.rfft3 (last axis truncated)."""
-        nz = self.grid.dims[2]
-        return self.values[:, :, : nz // 2 + 1]
-
-
-def _index_mirror(values: np.ndarray) -> np.ndarray:
-    """values sampled at the negated FFT index, (-n) mod N per axis."""
-    return np.roll(values[::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(0, 1, 2))
+    def values(self) -> np.ndarray:
+        return _full_values(self.grid.dims, self.grid.spacing, self.orientation.b)
 
 
 @lru_cache(maxsize=64)
 def _kernel_values(dims, spacing, b) -> np.ndarray:
-    grid = VolumeGrid(dims, spacing)
-    fx, fy, fz = frequency_axes(grid)
-    k2 = outer_sum(fx * fx, fy * fy, fz * fz)
-    dot = outer_sum(fx * b[0], fy * b[1], fz * b[2])
+    fx, fy, fz = frequency_axes(VolumeGrid(dims, spacing))
+    axes = (fx, fy, fz[: dims[2] // 2 + 1])
+
+    def formula(fx, fy, fz):
+        k2 = outer_sum(fx * fx, fy * fy, fz * fz)
+        dot = outer_sum(fx * b[0], fy * b[1], fz * b[2])
+        return 1.0 / 3.0 - (dot * dot) / k2
+
+    # A real cosine mode on a Nyquist plane carries +k and -k with equal weight, and for oblique
+    # b those two evaluations differ (the aliased frequency keeps one sign). Averaging d with its
+    # samples at the negated FFT index, (-n) mod N, is the even multiplier a real self-adjoint
+    # operator requires. d(-k) = d(k) and frequency_axes negate exactly, so those samples are d on
+    # the axes with each Nyquist entry negated; off Nyquist planes the average is the formula value.
+    mirrored = (np.where(2 * np.arange(f.size) == n, -f, f) for f, n in zip(axes, dims))
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = 1.0 / 3.0 - (dot * dot) / k2
+        values = 0.5 * (formula(*axes) + formula(*mirrored))
     values[0, 0, 0] = 0.0
-    # A real cosine mode on a Nyquist plane carries +k and -k with equal
-    # weight, and for oblique b those two evaluations differ (the aliased
-    # frequency keeps one sign). Averaging the mirrored samples is the even
-    # multiplier a real self-adjoint operator requires; away from Nyquist
-    # planes it leaves the formula value untouched.
-    values = 0.5 * (values + _index_mirror(values))
     # the frequency ratio is in [0, 1] analytically; clip round-off excursions
     np.clip(values, -2.0 / 3.0, 1.0 / 3.0, out=values)
+    values.flags.writeable = False
+    return values
+
+
+@lru_cache(maxsize=64)
+def _full_values(dims, spacing, b) -> np.ndarray:
+    """The full lattice behind _kernel_values: d is even, d[i, j, k] = d[-i, -j, nz - k]."""
+    half = _kernel_values(dims, spacing, b)
+    tail = half[::-1, ::-1, (dims[2] + 1) // 2 - 1 : 0 : -1]
+    values = np.concatenate([half, np.roll(tail, 1, axis=(0, 1))], axis=2)
     values.flags.writeable = False
     return values
 
@@ -65,8 +73,8 @@ def dipole_kernel(grid: VolumeGrid, orientation: Orientation) -> DipoleKernel:
     The solver applies the field model twice per iteration for hundreds of
     iterations, so kernel values are computed once and shared.
     """
-    values = _kernel_values(grid.dims, grid.spacing, orientation.b)
-    return DipoleKernel(grid=grid, orientation=orientation, values=values)
+    half = _kernel_values(grid.dims, grid.spacing, orientation.b)
+    return DipoleKernel(grid=grid, orientation=orientation, half=half)
 
 
 def forward_field(chi: ScalarVolume, kernel: DipoleKernel) -> ScalarVolume:

@@ -22,6 +22,20 @@ _WEIGHTS = np.exp(-((np.arange(WINDOW, dtype=np.float64) - WINDOW // 2) ** 2) / 
 _WEIGHTS /= _WEIGHTS.sum()
 
 
+def centred_reference(ref: ScalarVolume, inside: np.ndarray) -> tuple[np.ndarray, float]:
+    """ref's in-mask samples less their mean, and their norm. A reference whose in-mask range is 0
+    is refused: the mean of a float64 constant can round and leave a norm of 1e-16, not 0."""
+    samples = ref.data[inside]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        rv = samples - samples.mean()
+        norm = float(np.linalg.norm(rv))
+    if samples.max() == samples.min() or norm == 0.0:  # a norm of 0: deviations too small to square
+        raise ValueError("NRMSE reference is constant inside the mask")
+    if not math.isfinite(norm):
+        raise ValueError("NRMSE overflows the float64 range for this reference")
+    return rv, norm
+
+
 def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
     """||mask*(x - ref)|| / ||mask*ref|| after removing each in-mask mean.
 
@@ -33,17 +47,13 @@ def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
     inside = require_binary_mask(mask)
     if not inside.any():  # before any mean: the mean of nothing is nan, with warnings
         raise ValueError("mask is empty: NRMSE needs at least one voxel inside it")
+    rv, ref_norm = centred_reference(ref, inside)
     xv = x.data[inside]
-    rv = ref.data[inside]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         xv = xv - xv.mean()
-        rv = rv - rv.mean()
-        ref_norm = float(np.linalg.norm(rv))
         err_norm = float(np.linalg.norm(xv - rv))
-    if not (math.isfinite(ref_norm) and math.isfinite(err_norm)):
+    if not math.isfinite(err_norm):
         raise ValueError("NRMSE overflows the float64 range for these volumes")
-    if ref_norm == 0.0:
-        raise ValueError("reference is constant inside the mask")
     return err_norm / ref_norm
 
 

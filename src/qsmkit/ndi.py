@@ -19,6 +19,7 @@ from .core import (
     OrientationDataset, ScalarVolume, _is_integer, for_slabs, irfft3, require_binary_mask, rfft3, spectral_apply
 )
 from .dipole import dipole_kernel
+from .metrics import centred_reference
 
 __all__ = ["NdiConfig", "NdiResult", "NdiDivergenceError", "ndi_cost", "ndi_gradient", "ndi_reconstruct"]
 
@@ -149,13 +150,17 @@ def _terms(dataset: OrientationDataset, normalize: bool = False):
     order of the dataset. normalize divides every magnitude by one global
     maximum over in-mask voxels first, as the solver does.
     """
-    entries = dataset.entries
-    w2 = _normalized_weights(dataset) if normalize else [e.magnitude.data**2 for e in entries]
+    entries, gmax = dataset.entries, 1.0  # a division by 1.0 is exact
+    if normalize:
+        inside = require_binary_mask(dataset.mask)
+        if not np.any(inside):
+            raise ValueError("dataset mask is empty")
+        gmax = max(float(e.magnitude.data[inside].max()) for e in entries)
+        if gmax <= 0:
+            raise ValueError("dataset magnitude is zero everywhere inside the mask")
     order = sorted(range(len(entries)), key=lambda i: entries[i].orientation.b)
-    return [
-        (entries[i].phase.data, w2[i], dipole_kernel(dataset.grid, entries[i].orientation).half)
-        for i in order
-    ]
+    return [(e.phase.data, (e.magnitude.data / gmax) ** 2, dipole_kernel(dataset.grid, e.orientation).half)
+            for e in (entries[i] for i in order)]
 
 
 def ndi_cost(chi: ScalarVolume, dataset: OrientationDataset) -> float:
@@ -167,8 +172,11 @@ def ndi_cost(chi: ScalarVolume, dataset: OrientationDataset) -> float:
     """
     chi.grid.require_compatible(dataset.grid)
     total = 0.0
-    for phi, w2, half in _terms(dataset):
-        total += trig_cost(spectral_apply(chi.data, half), phi, w2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for phi, w2, half in _terms(dataset):
+            total += trig_cost(spectral_apply(chi.data, half), phi, w2)
+    if not np.isfinite(total):
+        raise ValueError("NDI cost overflows the float64 range for this chi and dataset")
     return total
 
 
@@ -176,20 +184,14 @@ def ndi_gradient(chi: ScalarVolume, dataset: OrientationDataset, lam: float = 0.
     """Analytic gradient 2*sum_r D_r^T W_r^2 sin(D_r chi - phi_r) + 2*lam*chi."""
     chi.grid.require_compatible(dataset.grid)
     grad_sum = np.zeros(chi.grid.dims)
-    for phi, w2, half in _terms(dataset):
-        resid = weighted_sin_residual(spectral_apply(chi.data, half), phi, w2)
-        grad_sum += spectral_apply(resid, half)
-    return ScalarVolume(chi.grid, 2.0 * grad_sum + (2.0 * lam) * chi.data)
-
-
-def _normalized_weights(dataset: OrientationDataset):
-    inside = require_binary_mask(dataset.mask)
-    if not np.any(inside):
-        raise ValueError("dataset mask is empty")
-    gmax = max(float(e.magnitude.data[inside].max()) for e in dataset.entries)
-    if gmax <= 0:
-        raise ValueError("dataset magnitude is zero everywhere inside the mask")
-    return [(e.magnitude.data / gmax) ** 2 for e in dataset.entries]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for phi, w2, half in _terms(dataset):
+            resid = weighted_sin_residual(spectral_apply(chi.data, half), phi, w2)
+            grad_sum += spectral_apply(resid, half)
+        grad = 2.0 * grad_sum + (2.0 * lam) * chi.data
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("NDI gradient overflows the float64 range for this chi and dataset")
+    return ScalarVolume(chi.grid, grad)
 
 
 def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -> NdiResult:
@@ -217,11 +219,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     if track_nrmse:
         cfg.reference.grid.require_compatible(grid)
         inside = require_binary_mask(dataset.mask)
-        ref_centered = cfg.reference.data[inside]
-        ref_centered = ref_centered - ref_centered.mean()
-        ref_norm = float(np.linalg.norm(ref_centered))
-        if ref_norm == 0.0:
-            raise ValueError("NRMSE reference is constant inside the mask")
+        ref_centered, ref_norm = centred_reference(cfg.reference, inside)
 
     tau = cfg.step_size
     lam = cfg.lam

@@ -4,7 +4,9 @@ Noise is applied in the complex signal domain (magnitude * exp(i*phase) plus
 independent Gaussian real/imaginary components), so low-SNR phase statistics
 behave like real data instead of additive phase noise. Streams are drawn from
 a Philox4x64 counter-based generator keyed by (seed, orientation index),
-which makes datasets bit-reproducible and orientations independent.
+which makes datasets bit-reproducible and orientations independent. A draw
+runs on the pool while its orientation's field transform runs, and the signal
+passes run in slabs, with the bits of the plain expressions for any thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .core import (
     OrientationDataset,
     ScalarVolume,
     VolumeGrid,
+    for_slabs,
+    in_background,
     voxel_coords,
 )
 from .dipole import dipole_kernel, forward_field
@@ -137,6 +141,27 @@ def _noise_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _received(clean, amplitude, eta):
+    """Angle in (-pi, pi] and modulus of amplitude*exp(1j*clean) + eta[0] + 1j*eta[1] (no noise if eta is
+    None): that expression's ufuncs on its operands in its order, in slabs of x-planes on the FFT workers."""
+    signal = np.empty(clean.shape, dtype=np.complex128)
+    noise_i = None if eta is None else np.empty_like(signal)
+    phase, modulus = np.empty(clean.shape), np.empty(clean.shape)
+
+    def slab(lo, hi):
+        sig = signal[lo:hi]
+        np.multiply(amplitude[lo:hi], np.exp(np.multiply(1j, clean[lo:hi], out=sig), out=sig), out=sig)
+        if eta is not None:
+            np.add(sig, eta[0, lo:hi], out=sig)
+            np.add(sig, np.multiply(1j, eta[1, lo:hi], out=noise_i[lo:hi]), out=sig)
+        np.arctan2(sig.imag, sig.real, out=phase[lo:hi])  # np.angle
+        np.abs(sig, out=modulus[lo:hi])
+
+    for_slabs(slab, len(clean), clean[0].size)
+    phase[phase <= -np.pi] = np.pi  # arg convention: (-pi, pi]
+    return phase, modulus
+
+
 def simulate_acquisition(
     chi: ScalarVolume,
     magnitude: ScalarVolume,
@@ -162,20 +187,10 @@ def simulate_acquisition(
 
     entries = []
     for r, orientation in enumerate(orientations):
-        kernel = dipole_kernel(grid, orientation)
-        clean = forward_field(chi, kernel).data
-        signal = magnitude.data * np.exp(1j * clean)
-        if noise.sigma > 0:
-            rng = _noise_rng(noise.seed, r)
-            eta = rng.normal(0.0, noise.sigma, size=(2,) + grid.dims)
-            signal = signal + eta[0] + 1j * eta[1]
-        phase = np.angle(signal)
-        phase[phase <= -np.pi] = np.pi  # arg convention: (-pi, pi]
-        entries.append(
-            Acquisition(
-                phase=ScalarVolume(grid, phase),
-                magnitude=ScalarVolume(grid, np.abs(signal)),
-                orientation=orientation,
-            )
-        )
+        eta = None
+        if noise.sigma > 0:  # the serial Philox draw runs on the pool while the field transform runs here
+            eta = in_background(_noise_rng(noise.seed, r).normal, 0.0, noise.sigma, (2,) + grid.dims)
+        clean = forward_field(chi, dipole_kernel(grid, orientation)).data
+        phase, modulus = _received(clean, magnitude.data, eta() if eta else None)
+        entries.append(Acquisition(ScalarVolume(grid, phase), ScalarVolume(grid, modulus), orientation))
     return OrientationDataset(entries=tuple(entries), mask=mask)

@@ -14,6 +14,8 @@ from qsmkit import (
     ifft3,
 )
 
+from qsmkit.core import frequency_axes, outer_sum
+
 from conftest import (
     EZ,
     index_mirror,
@@ -21,6 +23,7 @@ from conftest import (
     naive_idft3,
     oracle_dipole_values,
     random_volume,
+    rot_x,
 )
 
 
@@ -163,3 +166,35 @@ def test_orientation_axis_permutation():
     swapped = ScalarVolume(g, np.transpose(v.data, (2, 1, 0)))
     via_z = np.transpose(forward_field(swapped, dipole_kernel(g, EZ)).data, (2, 1, 0))
     assert np.abs(direct - via_z).max() < 1e-12 * max(np.abs(direct).max(), 1.0)
+
+
+def _full_lattice_kernel(dims, spacing, b):
+    """The kernel as built on the full lattice: the formula, the origin 0, the average
+    with its np.roll index mirror, then the clip."""
+    fx, fy, fz = frequency_axes(VolumeGrid(dims, spacing))
+    k2 = outer_sum(fx * fx, fy * fy, fz * fz)
+    dot = outer_sum(fx * b[0], fy * b[1], fz * b[2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = 1.0 / 3.0 - (dot * dot) / k2
+    values[0, 0, 0] = 0.0
+    values = 0.5 * (values + index_mirror(values))
+    np.clip(values, -2.0 / 3.0, 1.0 / 3.0, out=values)
+    return values
+
+
+@pytest.mark.parametrize("dims, spacing", [
+    ((16, 16, 16), (1.0, 1.0, 1.0)),
+    ((33, 28, 21), (0.7, 1.1, 1.3)),
+    ((64, 64, 64), (1.0, 1.0, 1.0)),
+    ((20, 24, 18), (0.5, 0.5, 2.0)),
+    ((15, 17, 19), (1.0, 1.0, 1.0)),
+])
+@pytest.mark.parametrize("orientation", [EZ, rot_x(30), Orientation.from_vector((0.3, -0.2, 0.9))],
+                         ids=["z", "x30", "oblique"])
+def test_kernel_bytes_equal_the_full_lattice_formula(dims, spacing, orientation):
+    kernel = dipole_kernel(VolumeGrid(dims, spacing), orientation)
+    full = _full_lattice_kernel(dims, spacing, orientation.b)
+    assert kernel.values.shape == dims and kernel.values.tobytes() == full.tobytes()
+    assert kernel.half.shape == dims[:2] + (dims[2] // 2 + 1,)
+    assert kernel.half.tobytes() == full[:, :, : dims[2] // 2 + 1].tobytes()
+    assert kernel.half.flags.c_contiguous and not kernel.half.flags.writeable

@@ -66,6 +66,13 @@ def test_nrmse_zero_reference_rejected(grid16):
         nrmse(ones_volume(grid16), ScalarVolume.full(grid16, 3.0), mask)  # constant ref
 
 
+def test_nrmse_refuses_a_constant_reference_whose_mean_rounds(grid8):
+    # the in-mask mean of 512 samples of 0.05 rounds, so the mean-removed norm is 1.6e-16, not 0
+    x = random_volume(grid8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="reference is constant inside the mask"):
+        nrmse(x, ScalarVolume.full(grid8, 0.05), ones_volume(grid8))
+
+
 @pytest.mark.filterwarnings("error")  # the mean of an empty selection warns before it is nan
 def test_nrmse_refuses_an_empty_mask(grid16):
     with pytest.raises(ValueError, match="mask is empty"):

@@ -264,6 +264,26 @@ def test_constant_reference_rejected(grid8):
         ndi_reconstruct(ds, cfg)
 
 
+def test_constant_reference_whose_mean_rounds_rejected(grid8):
+    ds = _random_dataset(grid8, np.random.default_rng(0), n_orient=1)
+    cfg = NdiConfig(max_iters=1, record_history=True, reference=ScalarVolume.full(grid8, 0.05))
+    with pytest.raises(ValueError, match="NRMSE reference is constant inside the mask"):
+        ndi_reconstruct(ds, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cost_and_gradient_refuse_a_magnitude_whose_square_overflows():
+    # ndi_cost and ndi_gradient square the magnitude as stored: 1e200 squared is past float64
+    g = VolumeGrid((4, 4, 4))
+    phase = ScalarVolume(g, np.random.default_rng(1).uniform(-3.0, 3.0, g.dims))
+    ds = OrientationDataset(entries=(Acquisition(phase, ScalarVolume.full(g, 1e200), EZ),), mask=ones_volume(g))
+    chi = ScalarVolume.zeros(g)
+    with pytest.raises(ValueError, match="NDI cost overflows the float64 range"):
+        ndi_cost(chi, ds)
+    with pytest.raises(ValueError, match="NDI gradient overflows the float64 range"):
+        ndi_gradient(chi, ds)
+
+
 def _sphere_dataset_48(n_orient):
     g = VolumeGrid((48, 48, 48))
     xs, ys, zs = voxel_coords(g)

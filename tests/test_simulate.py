@@ -10,6 +10,8 @@ from qsmkit import (
     Shape,
     VolumeGrid,
     cosmos,
+    dipole_kernel,
+    forward_field,
     make_phantom,
     nrmse,
     simulate_acquisition,
@@ -224,6 +226,41 @@ def test_noiseless_multi_orientation_cosmos_recovery():
     ds = simulate_acquisition(chi, mag, orients, NoiseSpec(0.0, 0))
     rec = cosmos(ds, CosmosConfig(eps=1e-6))
     assert nrmse(rec, chi, ds.mask) < 1e-6
+
+
+def _plain_acquisition(chi, magnitude, orientations, noise):
+    """(phase, modulus) per orientation from the signal model as whole-volume expressions."""
+    out = []
+    for r, orientation in enumerate(orientations):
+        clean = forward_field(chi, dipole_kernel(chi.grid, orientation)).data
+        signal = magnitude.data * np.exp(1j * clean)
+        if noise.sigma > 0:
+            key = np.array([np.uint64(noise.seed), np.uint64(r)], dtype=np.uint64)
+            eta = np.random.Generator(np.random.Philox(key=key)).normal(0.0, noise.sigma, size=(2,) + chi.grid.dims)
+            signal = signal + eta[0] + 1j * eta[1]
+        phase = np.angle(signal)
+        phase[phase <= -np.pi] = np.pi
+        out.append((phase, np.abs(signal)))
+    return out
+
+
+@pytest.mark.parametrize("sigma, masked", [(0.05, False), (0.0, True)], ids=["noise", "clean-zero-outside-mask"])
+def test_acquisition_keeps_the_plain_expressions_bits(threads, sigma, masked):
+    # 48x40x36 holds over 2 * _CHUNK voxels, so with 2 threads the signal pass runs in two slabs
+    g = VolumeGrid((48, 40, 36), (1.0, 0.9, 1.1))
+    # a strong source: outside the sphere the field passes pi/2, where cos < 0 turns signed zeros into pi
+    chi = ScalarVolume(g, 400.0 * _sphere_chi(g).data + 0.02 * np.random.default_rng(3).standard_normal(g.dims))
+    mag = _sphere_chi(g) if masked else ScalarVolume(g, np.full(g.dims, 0.8))
+    mask = ScalarVolume(g, (mag.data > 0).astype(float))
+    orients = [EZ, rot_x(30), EZ]  # the repeated orientation draws from its own stream
+    ds = simulate_acquisition(chi, mag, orients, NoiseSpec(sigma, 17), mask=mask if masked else None)
+    expected = _plain_acquisition(chi, mag, orients, NoiseSpec(sigma, 17))
+    for entry, (phase, modulus) in zip(ds.entries, expected):
+        assert entry.phase.data.tobytes() == phase.tobytes()  # bytes: -0.0 and 0.0 differ
+        assert entry.magnitude.data.tobytes() == modulus.tobytes()
+    if masked:  # the signed zeros outside the mask give phases of pi as well as 0
+        outside = np.concatenate([e.phase.data[mask.data == 0] for e in ds.entries])
+        assert np.any(outside == np.pi) and np.any(outside == 0.0)
 
 
 def test_rasterize_empty_shape_list():
