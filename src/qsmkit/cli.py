@@ -1,10 +1,10 @@
 """Command-line pipeline: phantom -> simulate -> unwrap -> smv -> invert -> metrics -> slice.
 
-Every command is deterministic given its config (seeds included). Exit codes:
-0 success, 2 usage/config errors, 1 runtime failures. Each option is declared
-once, in _COMMANDS, and ``--config file.json`` may set it under its flag's name
-with "_" for "-" (flags win); structured inputs (grid, shapes, orientation
-lists) live in the config file. _walk reads options, nested config, --bvec and sidecars;
+Every command is deterministic given its config (seeds included). Exit codes: 0 success, 2
+usage/config errors, 1 runtime failures. Each option is declared once, in _COMMANDS, and
+``--config file.json`` may set it under its flag's name with "_" for "-" (flags win); structured
+inputs (grid, shapes, orientation lists) live in the config file. _walk reads options, nested
+config, --bvec and sidecars; main refuses bad _output paths before the stage runs, and
 _write_all writes every stage's outputs. QSM_THREADS caps internal parallelism (0 = auto).
 """
 
@@ -52,6 +52,11 @@ def _text(value):
     if not isinstance(value, str):
         raise argparse.ArgumentTypeError(f"expected a string, got {value!r}")
     return value
+
+
+def _output(value):
+    """A file name the stage writes, read as a _text is; main refuses a bad one before the stage runs."""
+    return _text(value)
 
 
 def _finite(value):
@@ -130,27 +135,25 @@ def _load_volume(path) -> ScalarVolume:
     return read_nifti(path)
 
 
-def _require_distinct(paths):
-    """Refuse two outputs at one path: the second write would replace the first."""
-    paths = [os.path.normpath(path) for path in paths]
-    if repeated := sorted({path for path in paths if paths.count(path) > 1}):
+def _require_writable(paths, out_dir="."):
+    """Refuse two outputs at one path (ConfigError), then a path naming no file in a directory (OSError)."""
+    normal = [os.path.normpath(path) for path in paths]
+    if repeated := sorted({path for path in normal if normal.count(path) > 1}):
         raise ConfigError(f"two outputs at one path: {', '.join(repeated)}")
+    for path in paths:
+        parent = os.path.normpath(os.path.dirname(path))  # out_dir is made after the checks, so may be new
+        in_dir = os.path.isdir(parent) or (parent == os.path.normpath(out_dir) and not os.path.lexists(parent))
+        if not os.path.basename(path) or "\0" in path or os.path.isdir(path) or not in_dir:
+            raise OSError(f"cannot write {path!r}: not a file name in an existing directory")
 
 
 def _write_all(outputs, out_dir="."):
-    """Write a stage's (path, ScalarVolume, text or bytes) outputs and print one "wrote" line. Nothing
-    is written, nor out_dir made, unless the paths are distinct, every volume passes require_nifti_volume
-    and every path names a file in a directory that exists or is out_dir: a refused one leaves nothing."""
-    made = os.path.normpath(out_dir)
-    _require_distinct(path for path, _ in outputs)
+    """Write a stage's (path, volume, text or bytes) outputs after checking them all; print one "wrote" line."""
+    _require_writable([path for path, _ in outputs], out_dir)
     for path, value in outputs:
         if isinstance(value, ScalarVolume):
             require_nifti_volume(path, value)
-        parent, name = os.path.split(path)
-        parent = os.path.normpath(parent)
-        if not name or "\0" in path or os.path.isdir(path) or not (os.path.isdir(parent) or parent == made):
-            raise OSError(f"cannot write {path!r}: not a file name in an existing directory")
-    os.makedirs(made, exist_ok=True)
+    os.makedirs(os.path.normpath(out_dir), exist_ok=True)
     for path, value in outputs:
         if isinstance(value, ScalarVolume):
             write_nifti(path, value)
@@ -319,7 +322,6 @@ def cmd_invert(args, cfg):
         raise ConfigError("--dataset lists the inputs: give it without --phase, --magnitude and --bvec")
     if algo != "ndi" and (args.history_out or args.reference):
         raise ConfigError(f"--history-out and --reference are read only by --algo ndi, not {algo}")
-    _require_distinct(filter(None, (args.out, args.history_out)))  # before the solve
     kind, fields = _SOLVERS[algo]
     values = {name: getattr(args, key) for name, key in fields.items()}
     if algo == "ndi":
@@ -382,16 +384,16 @@ def cmd_slice(args, cfg):
 
 # -------------------------------------------------------------------- main
 
-_PHASE_IN_OUT = [("phase", _text, _REQUIRED), ("mask", _text, _REQUIRED), ("out", _text, _REQUIRED)]
+_PHASE_IN_OUT = [("phase", _text, _REQUIRED), ("mask", _text, _REQUIRED), ("out", _output, _REQUIRED)]
 
-# Each subcommand: its function, its help, its options and its repeatable
-# flags. An option is (config key, type, default[, help]); its flag is the key
-# with "-" for "_", and main reads it with _walk. Repeatable flags have no config key.
+# Each subcommand: its function, its help, its options and its repeatable flags. An option
+# is (config key, type, default[, help]), type _output for a file the stage writes; its flag
+# is the key with "-" for "_", and main reads it with _walk. Repeatable flags have no config key.
 _COMMANDS = {
     "phantom": (cmd_phantom, "rasterize ground-truth chi, magnitude template, and mask", [
-        ("out_chi", _text, "chi.nii"),
-        ("out_magnitude", _text, "magnitude.nii"),
-        ("out_mask", _text, "mask.nii"),
+        ("out_chi", _output, "chi.nii"),
+        ("out_magnitude", _output, "magnitude.nii"),
+        ("out_mask", _output, "mask.nii"),
     ], {}),
     "simulate": (cmd_simulate, "forward-simulate noisy multi-orientation phase data", [
         ("chi", _text, _REQUIRED),
@@ -405,7 +407,7 @@ _COMMANDS = {
     "unwrap": (cmd_unwrap, "Laplacian phase unwrapping", _PHASE_IN_OUT, {}),
     "smv": (cmd_smv, "SMV background-field removal", [
         *_PHASE_IN_OUT,
-        ("reliable_mask_out", _text, None),
+        ("reliable_mask_out", _output, None),
         ("smv_radius", float, SmvConfig.radius_mm),
         ("smv_threshold", float, SmvConfig.tsvd_threshold),
     ], {}),
@@ -413,7 +415,7 @@ _COMMANDS = {
         ("algo", _text, _REQUIRED),
         ("dataset", _text, None, "sidecar JSON listing phase/magnitude/orientation entries"),
         ("mask", _text, _REQUIRED),
-        ("out", _text, _REQUIRED),
+        ("out", _output, _REQUIRED),
         ("phase_scale", _finite, 1.0, "multiply input phase (radians -> field units)"),
         ("tkd_delta", float, TkdConfig.delta),
         ("cosmos_eps", float, CosmosConfig.eps),
@@ -421,7 +423,7 @@ _COMMANDS = {
         ("ndi_lambda", float, NdiConfig.lam, "Tikhonov fraction; 0.001 means 0.1 percent"),
         ("ndi_iters", _integer, NdiConfig.max_iters),
         ("ndi_step", float, NdiConfig.step_size),
-        ("history_out", _text, None, "CSV of iteration,cost[,nrmse]"),
+        ("history_out", _output, None, "CSV of iteration,cost[,nrmse]"),
         ("reference", _text, None, "truth volume enabling the nrmse history column"),
     ], dict.fromkeys(("--phase", "--magnitude", "--bvec"))),
     "metrics": (cmd_metrics, "NRMSE/SSIM report, plus data consistency with --dataset", [
@@ -429,7 +431,7 @@ _COMMANDS = {
         ("ref", _text, _REQUIRED),
         ("mask", _text, _REQUIRED),
         ("dataset", _text, None),
-        ("out", _text, None),
+        ("out", _output, None),
     ], {}),
     "slice": (cmd_slice, "export one slice as a binary PGM image", [
         ("volume", _text, _REQUIRED),
@@ -437,7 +439,7 @@ _COMMANDS = {
         ("index", _integer, _REQUIRED),
         ("window_min", _finite, _REQUIRED),
         ("window_max", _finite, _REQUIRED),
-        ("out", _text, _REQUIRED),
+        ("out", _output, _REQUIRED),
     ], {}),
 }
 
@@ -488,6 +490,8 @@ def main(argv=None) -> int:
         vars(args).update({key: options[key] for key in args.schema})  # never a key such as "func"
         if getattr(args, "bvec", None):
             args.bvec = _walk(_ORIENTATIONS, [b.split(",") for b in args.bvec], "--bvec")
+        _require_writable([options[key] for key, (kind, _) in args.schema.items()  # before any input is read
+                           if kind is _output and options[key] is not None])
         args.func(args, cfg)
         return 0
     except (ValueError, OSError, NdiDivergenceError, MemoryError) as exc:

@@ -320,10 +320,10 @@ def freq_coords(grid: VolumeGrid, axis: str, index: int) -> float:
     axis is "x", "y", "z", 0, 1 or 2, and index an integer in [0, N); others raise ValueError.
     """
     ax = _AXES.get(axis) if isinstance(axis, str) else axis
-    if not (isinstance(ax, (int, np.integer)) and ax in _AXES.values()):
+    if not (_is_integer(ax) and ax in _AXES.values()):
         raise ValueError(f"axis must be x, y, z, 0, 1 or 2, got {axis!r}")
     n_ax = grid.dims[ax]
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < n_ax):
+    if not (_is_integer(index) and 0 <= index < n_ax):
         raise ValueError(f"index {index!r} is not an integer in range for axis of extent {n_ax}")
     return float(frequency_axes(grid)[ax][index])
 

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .core import _AXES, ScalarVolume, VolumeGrid
+from .core import _AXES, ScalarVolume, VolumeGrid, _is_integer
 
 __all__ = ["NiftiFormatError", "read_nifti", "require_nifti_grid", "require_nifti_volume", "write_nifti",
            "slice_to_pgm"]
@@ -149,6 +149,8 @@ def slice_to_pgm(volume: ScalarVolume, axis: str, index: int, window_min: float,
     if axis not in _AXES:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
     ax = _AXES[axis]
+    if not _is_integer(index):
+        raise ValueError(f"slice index must be an integer, got {index!r}")
     if not 0 <= index < volume.grid.dims[ax]:
         raise ValueError(f"slice index {index} out of range for axis {axis} of extent {volume.grid.dims[ax]}")
     if not window_max > window_min:

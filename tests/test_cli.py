@@ -741,20 +741,36 @@ _INVERT = ["invert", "--algo", "ndi", "--dataset", "sim/dataset.json", "--mask",
            "--ndi-iters", "2"]
 
 
+def _fail_if_any_work(monkeypatch):
+    """Make the stages' volume reader, phantom painter and NDI solver fail the test if called."""
+    for name in ("read_nifti", "make_phantom", "ndi_reconstruct"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("called before the refusal"))
+
+
 @pytest.mark.parametrize("argv", [
     ["phantom", "--config", "config.json", "--out-mask", "nodir/mask.nii"],
+    ["phantom", "--config", "config.json", "--out-chi", "nodir/c.nii"],
     ["smv", "--phase", "chi.nii", "--mask", "mask.nii", "--out", "t.nii", "--reliable-mask-out", "nodir/r.nii"],
     [*_INVERT, "--history-out", "nodir/h.csv"],
-    [*_SIMULATE, "--prefix", "sub/", "--out-dir", "new"],
+    ["invert", "--algo", "ndi", "--dataset", "sim/dataset.json", "--mask", "mask.nii", "--out", "nodir/x.nii"],
+    ["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", "--out", "nodir/r.json"],
+    ["slice", "--volume", "chi.nii", "--axis", "z", "--index", "1", "--window-min", "0", "--window-max", "1",
+     "--out", "nodir/s.pgm"],
     ["unwrap", "--phase", "chi.nii", "--mask", "mask.nii", "--out", "sim"],
     ["phantom", "--config", "config.json", "--out-mask", ""],
     [*_INVERT, "--history-out", "h\0.csv"],
-], ids=["missing-directory", "smv-reliable-mask", "invert-history", "simulate-prefix-directory",
-        "existing-directory", "empty-name", "null-byte"])
+    [*_SIMULATE, "--prefix", "sub/", "--out-dir", "new"],
+    [*_SIMULATE, "--out-dir", "chi.nii"],
+], ids=["missing-directory", "phantom-chi", "smv-reliable-mask", "invert-history", "invert-out", "metrics-out",
+        "slice-out", "existing-directory", "empty-name", "null-byte", "simulate-prefix-directory",
+        "simulate-out-dir-file"])
 def test_stage_with_an_unwritable_output_path_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
-    # the path is refused before the stage writes any output or makes any directory
+    # a declared output is refused before any input is read; simulate names its own files under
+    # --out-dir, so those are refused after the simulation but before any write or directory
     monkeypatch.chdir(tmp_path)
     _small_dataset(tmp_path)  # config.json, chi.nii, mag.nii, mask.nii and sim/
+    if argv[0] != "simulate":
+        _fail_if_any_work(monkeypatch)
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main(argv) == 1
@@ -772,9 +788,7 @@ def test_stage_with_two_outputs_at_one_path_exits_2_and_writes_nothing(tmp_path,
     # the second write would replace the first, so the stage would lose an output and still exit 0
     monkeypatch.chdir(tmp_path)
     _small_dataset(tmp_path)
-    if argv[0] == "invert":  # refused with the other option rules, before any volume is read
-        for name in ("read_nifti", "ndi_reconstruct"):
-            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("called before the refusal"))
+    _fail_if_any_work(monkeypatch)
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main(argv) == 2
@@ -968,8 +982,20 @@ _OPTIONS = [(command, key) for command, row in cli._COMMANDS.items() for key, *_
                                            *(("invert", a) for a in cli._SOLVERS)])
 def test_valid_config_of_every_option_runs(tmp_path, inputs, capsys, monkeypatch, command, algo):
     cfg = _valid_config(command, algo, inputs)
+    written, write_all = [], cli._write_all
+
+    def spy(outputs, *args):
+        written.extend(path for path, _ in outputs)
+        write_all(outputs, *args)
+
+    monkeypatch.setattr(cli, "_write_all", spy)
     assert _run_config(command, cfg, tmp_path / "run", monkeypatch) == 0
     assert capsys.readouterr().err == ""
+    # main checked each declared output before the stage; only simulate names files of its own
+    declared = {cfg[key] for key, kind, *_ in cli._COMMANDS[command][2] if kind is cli._output and key in cfg}
+    assert written
+    for path in written:
+        assert path in declared or command == "simulate" and Path(cfg["out_dir"]) in Path(path).parents, path
 
 
 @pytest.mark.parametrize("command, key", _OPTIONS, ids=[f"{c}-{k}" for c, k in _OPTIONS])
@@ -978,7 +1004,7 @@ def test_option_of_the_wrong_json_type_exits_2(tmp_path, inputs, capsys, monkeyp
     kind = next(row[1] for row in cli._COMMANDS[command][2] if row[0] == key)
     # a value the option's type rejects, whichever JSON type the option wants
     bad = [["x"], {"x": 1}, None, math.nan, math.inf, -math.inf, True]
-    bad.append(5 if kind is cli._text else "x")
+    bad.append(5 if kind in (cli._text, cli._output) else "x")
     prefix = key.split("_")[0]
     algo = prefix if prefix in cli._SOLVERS else "ndi"
     capsys.readouterr()

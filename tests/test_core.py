@@ -207,8 +207,9 @@ def test_freq_coords_examples():
         freq_coords(g, "x", 8)
     with pytest.raises(ValueError):
         freq_coords(g, "x", -1)
-    with pytest.raises(ValueError, match="not an integer"):
-        freq_coords(g, "x", 1.5)
+    for index in (1.5, 1.0, True, False):
+        with pytest.raises(ValueError, match="not an integer"):
+            freq_coords(g, "x", index)
 
 
 @pytest.mark.parametrize("n", [7, 8, 12])
@@ -227,7 +228,7 @@ def test_frequency_axes_match_freq_coords():
             assert freq_coords(g, np.int64(ax), idx) == axes[ax][idx]
 
 
-@pytest.mark.parametrize("axis", ["w", "", "X", "xy", 3, 5, -1, 1.0, None])
+@pytest.mark.parametrize("axis", ["w", "", "X", "xy", 3, 5, -1, 1.0, None, True, False])
 def test_freq_coords_refuses_other_axes(axis):
     with pytest.raises(ValueError, match="axis must be x, y, z, 0, 1 or 2"):
         freq_coords(VolumeGrid((8, 8, 8)), axis, 1)

@@ -230,6 +230,9 @@ def test_slice_errors():
         slice_to_pgm(v, "w", 0, 0.0, 1.0)
     with pytest.raises(ValueError):
         slice_to_pgm(v, "z", 0, 1.0, 1.0)
+    for index in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            slice_to_pgm(v, "x", index, 0.0, 1.0)
 
 
 def test_writer_rejects_values_beyond_float32_before_opening(tmp_path):
