@@ -4,7 +4,7 @@ Every command is deterministic given its config (seeds included). Exit codes: 0 
 usage/config errors, 1 runtime failures. Each option is declared once, in _COMMANDS, and
 ``--config file.json`` may set it under its flag's name with "_" for "-" (flags win); structured
 inputs (grid, shapes, orientation lists) live in the config file. _walk reads options, nested
-config, --bvec and sidecars; main refuses bad _output paths before the stage runs, and
+config, --bvec and sidecars; main refuses bad _output paths and --out-dir before the stage runs, and
 _write_all writes every stage's outputs. QSM_THREADS caps internal parallelism (0 = auto).
 """
 
@@ -136,10 +136,15 @@ def _load_volume(path) -> ScalarVolume:
 
 
 def _require_writable(paths, out_dir="."):
-    """Refuse two outputs at one path (ConfigError), then a path naming no file in a directory (OSError)."""
+    """Refuse two outputs at one path (ConfigError), then a bad out_dir or output path (OSError)."""
     normal = [os.path.normpath(path) for path in paths]
     if repeated := sorted({path for path in normal if normal.count(path) > 1}):
         raise ConfigError(f"two outputs at one path: {', '.join(repeated)}")
+    ancestor = os.path.normpath(out_dir)  # its nearest existing ancestor, or itself, must be a directory
+    while not os.path.lexists(ancestor) and ancestor != (up := os.path.dirname(ancestor) or "."):
+        ancestor = up
+    if not os.path.isdir(ancestor):
+        raise OSError(f"cannot write {out_dir!r}: {ancestor!r} is not a directory")
     for path in paths:
         parent = os.path.normpath(os.path.dirname(path))  # out_dir is made after the checks, so may be new
         in_dir = os.path.isdir(parent) or (parent == os.path.normpath(out_dir) and not os.path.lexists(parent))
@@ -491,7 +496,7 @@ def main(argv=None) -> int:
         if getattr(args, "bvec", None):
             args.bvec = _walk(_ORIENTATIONS, [b.split(",") for b in args.bvec], "--bvec")
         _require_writable([options[key] for key, (kind, _) in args.schema.items()  # before any input is read
-                           if kind is _output and options[key] is not None])
+                           if kind is _output and options[key] is not None], getattr(args, "out_dir", "."))
         args.func(args, cfg)
         return 0
     except (ValueError, OSError, NdiDivergenceError, MemoryError) as exc:

@@ -19,7 +19,9 @@ simulator's signal) run in one contiguous slab per FFT worker through
 not depend on the thread count; ``in_background`` runs the simulator's serial
 noise draw beside a transform. Mask erosion is a short chain of boolean ANDs of shifted views
 on the caller (``mask_erode``), in numpy alone, over the mask's bounding box;
-the SSIM filters run on the box of the voxels they score.
+the SSIM filters run on the box of the voxels they score. A volume owns its read-only samples (a
+copy of a caller's array, the very array a library result was made in), and a mask remembers its
+inside voxels and its last erosion.
 
 scipy is imported on first use, on the calling thread, so a CLI stage loads
 only the scipy modules it calls (``phantom`` needs neither ``scipy.fft`` nor
@@ -153,8 +155,8 @@ class VolumeGrid:
             )
 
 
-def _checked_samples(grid, data, dtype):
-    arr = np.array(data, dtype=dtype, order="C", copy=True)
+def _checked_samples(grid, data, dtype, copy=True):
+    arr = np.array(data, dtype=dtype, order="C", copy=copy)  # copy=False raises unless data fits as is
     if arr.shape != grid.dims:
         if arr.size == grid.n_voxels and arr.ndim == 1:
             arr = arr.reshape(grid.dims, order="F")
@@ -171,14 +173,26 @@ class ScalarVolume:
     """Real-valued 3D field on a grid. Immutable; operations return new volumes.
 
     ``data`` is float64 with shape ``grid.dims``; a flat buffer in x-fastest
-    order is accepted and reshaped.
+    order is accepted and reshaped. The samples are a read-only array the volume owns: a caller's
+    array is copied, a library result keeps the array the library just made. A mask remembers its
+    inside voxels (``require_binary_mask``) and its last erosion (``mask_erode``).
     """
 
     grid: VolumeGrid
     data: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", _checked_samples(self.grid, self.data, np.float64))
+    def __post_init__(self, copy=True):
+        object.__setattr__(self, "data", _checked_samples(self.grid, self.data, np.float64, copy))
+        object.__setattr__(self, "_memo", {})  # lives and dies with the volume
+
+    @classmethod
+    def _owning(cls, grid: VolumeGrid, data: np.ndarray) -> "ScalarVolume":
+        """A volume around data, a C-contiguous float64 array the library just made and holds nowhere
+        else: checked as a caller's array is, then made read-only in place instead of copied."""
+        volume = object.__new__(cls)
+        volume.__dict__.update(grid=grid, data=data)  # past the frozen __setattr__, as __init__ sets them
+        volume.__post_init__(copy=False)
+        return volume
 
     @classmethod
     def zeros(cls, grid: VolumeGrid) -> "ScalarVolume":
@@ -235,10 +249,15 @@ class Acquisition:
 
 
 def require_binary_mask(mask: ScalarVolume) -> np.ndarray:
-    """The voxels inside mask, mask.data > 0.5; a ValueError unless every sample is 0 or 1."""
-    if not np.all((mask.data == 0.0) | (mask.data == 1.0)):
+    """The voxels inside mask, mask.data > 0.5, as a read-only array; a ValueError, on every call,
+    unless every sample is 0 or 1 (equal to its inside bit). The samples are scanned once."""
+    if "inside" not in mask._memo:
+        inside = mask.data > 0.5
+        inside.flags.writeable = False
+        mask._memo["inside"] = inside if np.array_equal(mask.data, inside) else None  # None: refused
+    if (inside := mask._memo["inside"]) is None:
         raise ValueError("mask must be binary (all samples 0 or 1)")
-    return mask.data > 0.5
+    return inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,11 +411,17 @@ def mask_erode(mask: ScalarVolume, radius_mm: float) -> ScalarVolume:
     is [-t, t], the result is G_0 & X(G_1 & X(G_2 & ...)), X an x step. Every
     step ANDs shifted views of booleans, so nothing rounds. The result lies in
     the mask, so only the mask's bounding box is eroded, its border counting 0.
+    The mask keeps its last result, so asking again with that radius erodes nothing.
     """
     inside = require_binary_mask(mask)
     if not 0 <= radius_mm < np.inf:
         raise ValueError(f"erosion radius must be finite and >= 0, got {radius_mm!r}")
-    grid = mask.grid
+    if (last := mask._memo.get("eroded")) is None or last[0] != radius_mm:
+        last = mask._memo["eroded"] = (radius_mm, _erode(inside, mask.grid, radius_mm))
+    return last[1]
+
+
+def _erode(inside: np.ndarray, grid: VolumeGrid, radius_mm: float) -> ScalarVolume:
     if any(np.floor(radius_mm / s) >= n for s, n in zip(grid.spacing, grid.dims)):
         # every voxel's ball reaches past a face, so nothing survives; no stencil needed
         return ScalarVolume(grid, np.zeros(grid.dims))

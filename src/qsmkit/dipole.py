@@ -80,7 +80,7 @@ def dipole_kernel(grid: VolumeGrid, orientation: Orientation) -> DipoleKernel:
 def forward_field(chi: ScalarVolume, kernel: DipoleKernel) -> ScalarVolume:
     """Field (phase) induced by a susceptibility volume: real(ifft3(d . fft3(chi)))."""
     chi.grid.require_compatible(kernel.grid)
-    return ScalarVolume(chi.grid, spectral_apply(chi.data, kernel.half))
+    return ScalarVolume._owning(chi.grid, spectral_apply(chi.data, kernel.half))
 
 
 def adjoint_field(phi: ScalarVolume, kernel: DipoleKernel) -> ScalarVolume:

@@ -75,7 +75,7 @@ def tkd(phase: ScalarVolume, kernel: DipoleKernel, cfg: TkdConfig = TkdConfig())
     phase.grid.require_compatible(kernel.grid)
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: ScalarVolume refuses it
         multiplier = tkd_multiplier(kernel.half, cfg.delta)
-        return ScalarVolume(phase.grid, spectral_apply(phase.data, multiplier))
+        return ScalarVolume._owning(phase.grid, spectral_apply(phase.data, multiplier))
 
 
 def cosmos(dataset: OrientationDataset, cfg: CosmosConfig = CosmosConfig()) -> ScalarVolume:
@@ -127,10 +127,11 @@ def _least_squares(grid: VolumeGrid, terms, floor: float, lam: float = 0.0) -> S
         else:
             numerator += spec
             denominator += d * d
+        del spec  # before the next orientation's transform
     # a large lambda gives an inf denominator, a subnormal one an inf result that ScalarVolume refuses
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if lam:
             denominator += lam * gradient_energy_spectrum(grid)
         numerator /= denominator
     numerator[denominator <= floor] = 0.0
-    return ScalarVolume(grid, irfft3(numerator, grid.dims))
+    return ScalarVolume._owning(grid, irfft3(numerator, grid.dims))

@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .core import OrientationDataset, ScalarVolume, _bounding_box, for_slabs, require_binary_mask
-from .dipole import dipole_kernel, forward_field
+from .core import OrientationDataset, ScalarVolume, _bounding_box, for_slabs, irfft3, require_binary_mask, rfft3
+from .dipole import dipole_kernel
 
 __all__ = ["nrmse", "ssim3d", "data_consistency"]
 
@@ -126,16 +126,16 @@ def ssim3d(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
 
 def data_consistency(chi: ScalarVolume, dataset: OrientationDataset) -> float:
     """Normalized in-mask residual between forward-modeled and measured phase,
-    sqrt(sum_r ||M(D_r chi - phi_r)||^2) / sqrt(sum_r ||M phi_r||^2)."""
+    sqrt(sum_r ||M(D_r chi - phi_r)||^2) / sqrt(sum_r ||M phi_r||^2), with chi transformed once."""
     chi.grid.require_compatible(dataset.grid)
     inside = require_binary_mask(dataset.mask)
     if not inside.any():
         raise ValueError("mask is empty: data consistency needs at least one voxel inside it")
     resid2 = 0.0
     norm2 = 0.0
+    spec = rfft3(chi.data)
     for entry in dataset.entries:
-        kernel = dipole_kernel(dataset.grid, entry.orientation)
-        predicted = forward_field(chi, kernel).data
+        predicted = irfft3(spec * dipole_kernel(dataset.grid, entry.orientation).half, chi.grid.dims)
         resid2 += float(np.sum((predicted[inside] - entry.phase.data[inside]) ** 2))
         norm2 += float(np.sum(entry.phase.data[inside] ** 2))
     if norm2 == 0.0:

@@ -310,7 +310,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
         cost_history.append(final_cost)
 
     return NdiResult(
-        chi=ScalarVolume(grid, chi * dataset.mask.data),
+        chi=ScalarVolume._owning(grid, chi * dataset.mask.data),
         cost_history=cost_history,
         nrmse_history=nrmse_history if track_nrmse else None,
     )

@@ -60,9 +60,7 @@ def laplacian_unwrap(wrapped: ScalarVolume, mask: ScalarVolume) -> ScalarVolume:
     inside = require_binary_mask(mask)
     grid = wrapped.grid
     lap = _laplacian_symbol(grid)
-    inv_lap = np.zeros_like(lap)
-    nonzero = lap != 0.0
-    inv_lap[nonzero] = 1.0 / lap[nonzero]
+    inv_lap = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap != 0.0)
 
     sin_w, cos_w = np.empty(grid.dims), np.empty(grid.dims)
     w, s, c = (v.reshape(-1) for v in (wrapped.data, sin_w, cos_w))
@@ -76,8 +74,8 @@ def laplacian_unwrap(wrapped: ScalarVolume, mask: ScalarVolume) -> ScalarVolume:
     phi = spectral_apply(rhs, inv_lap)
 
     if np.any(inside):
-        phi = phi - phi[inside].mean()
-    return ScalarVolume(grid, phi)
+        phi -= phi[inside].mean()
+    return ScalarVolume._owning(grid, phi)
 
 
 def sphere_kernel_spectrum(grid: VolumeGrid, radius_mm: float) -> np.ndarray:
@@ -125,4 +123,4 @@ def smv_filter(phase: ScalarVolume, mask: ScalarVolume, cfg: SmvConfig = SmvConf
     spec[~keep] = 0
     tissue = irfft3(spec, grid.dims)
     tissue *= reliable.data
-    return ScalarVolume(grid, tissue), reliable
+    return ScalarVolume._owning(grid, tissue), reliable

@@ -128,7 +128,7 @@ class NoiseSpec:
 def make_phantom(grid: VolumeGrid, spec: PhantomSpec) -> ScalarVolume:
     """Rasterize a PhantomSpec: each voxel takes the chi of the last shape
     containing its center, or the background value."""
-    return ScalarVolume(grid, rasterize_shapes(voxel_coords(grid), spec.shapes, spec.background))
+    return ScalarVolume._owning(grid, rasterize_shapes(voxel_coords(grid), spec.shapes, spec.background))
 
 
 def wrap_phase(x: np.ndarray) -> np.ndarray:
@@ -191,6 +191,7 @@ def simulate_acquisition(
         if noise.sigma > 0:  # the serial Philox draw runs on the pool while the field transform runs here
             eta = in_background(_noise_rng(noise.seed, r).normal, 0.0, noise.sigma, (2,) + grid.dims)
         clean = forward_field(chi, dipole_kernel(grid, orientation)).data
-        phase, modulus = _received(clean, magnitude.data, eta() if eta else None)
-        entries.append(Acquisition(ScalarVolume(grid, phase), ScalarVolume(grid, modulus), orientation))
+        received = _received(clean, magnitude.data, eta() if eta else None)
+        phase, modulus = (ScalarVolume._owning(grid, a) for a in received)
+        entries.append(Acquisition(phase, modulus, orientation))
     return OrientationDataset(entries=tuple(entries), mask=mask)

@@ -761,15 +761,17 @@ def _fail_if_any_work(monkeypatch):
     [*_INVERT, "--history-out", "h\0.csv"],
     [*_SIMULATE, "--prefix", "sub/", "--out-dir", "new"],
     [*_SIMULATE, "--out-dir", "chi.nii"],
+    [*_SIMULATE, "--out-dir", "chi.nii/sub"],
 ], ids=["missing-directory", "phantom-chi", "smv-reliable-mask", "invert-history", "invert-out", "metrics-out",
         "slice-out", "existing-directory", "empty-name", "null-byte", "simulate-prefix-directory",
-        "simulate-out-dir-file"])
+        "simulate-out-dir-file", "simulate-out-dir-under-file"])
 def test_stage_with_an_unwritable_output_path_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
-    # a declared output is refused before any input is read; simulate names its own files under
-    # --out-dir, so those are refused after the simulation but before any write or directory
+    # a declared output or --out-dir is refused before any input is read; simulate names its own
+    # files under --out-dir with --prefix, so those are refused after the simulation but before any
+    # write or directory
     monkeypatch.chdir(tmp_path)
     _small_dataset(tmp_path)  # config.json, chi.nii, mag.nii, mask.nii and sim/
-    if argv[0] != "simulate":
+    if "--prefix" not in argv:
         _fail_if_any_work(monkeypatch)
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()

@@ -12,14 +12,28 @@ from qsmkit import (
     Acquisition,
     ComplexVolume,
     GridMismatchError,
+    NdiConfig,
+    NoiseSpec,
     Orientation,
     OrientationDataset,
+    PhantomSpec,
     ScalarVolume,
+    Shape,
+    SmvConfig,
     VolumeGrid,
+    cosmos,
     fft3,
+    forward_field,
     freq_coords,
     ifft3,
+    l2_closedform,
+    laplacian_unwrap,
+    make_phantom,
     mask_erode,
+    ndi_reconstruct,
+    simulate_acquisition,
+    smv_filter,
+    tkd,
 )
 import qsmkit
 from qsmkit import core
@@ -28,7 +42,7 @@ from qsmkit.dipole import dipole_kernel
 from qsmkit.ndi import _half_norm2
 from qsmkit.preprocess import sphere_kernel_spectrum
 
-from conftest import EZ, brute_erode, naive_dft3, naive_idft3, ones_volume, random_volume
+from conftest import EZ, brute_erode, naive_dft3, naive_idft3, ones_volume, random_volume, rot_x
 
 
 # ---------------------------------------------------------------- types
@@ -76,6 +90,25 @@ def test_volume_copies_input(grid8):
     v = ScalarVolume(grid8, arr)
     arr[0, 0, 0] = 7.0
     assert v.data[0, 0, 0] == 0.0
+
+
+def test_library_results_are_read_only_c_contiguous_float64():
+    # these volumes keep the array the library made instead of a copy; it must still be one
+    # the volume alone can read, in the layout and type a caller's array is copied into
+    g = VolumeGrid((12, 10, 8), (1.0, 1.2, 0.9))
+    chi = make_phantom(g, PhantomSpec((Shape("sphere", (0.0, 0.0, 0.0), (3.0,), 0.1),)))
+    mask = ones_volume(g)
+    dataset = simulate_acquisition(chi, mask, [EZ, rot_x(30)], NoiseSpec(0.01, 3))
+    kernel = dipole_kernel(g, EZ)
+    unwrapped = laplacian_unwrap(dataset.entries[0].phase, mask)
+    tissue, _ = smv_filter(unwrapped, mask, SmvConfig(2.0, 0.05))
+    volumes = [chi, forward_field(chi, kernel), tkd(unwrapped, kernel), l2_closedform(unwrapped, kernel),
+               cosmos(dataset), unwrapped, tissue, ndi_reconstruct(dataset, NdiConfig(max_iters=2)).chi]
+    volumes += [v for entry in dataset.entries for v in (entry.phase, entry.magnitude)]
+    for v in volumes:
+        assert v.data.dtype == np.float64 and v.data.flags.c_contiguous and not v.data.flags.writeable
+        with pytest.raises(ValueError):
+            v.data[0, 0, 0] = 1.0
 
 
 def test_orientation_validation():
@@ -247,8 +280,36 @@ def test_require_binary_mask_returns_the_inside_voxels(grid16):
     mask = ScalarVolume(grid16, (rng.random(grid16.dims) > 0.4).astype(float))
     inside = core.require_binary_mask(mask)
     assert inside.dtype == bool and np.array_equal(inside, mask.data == 1.0)
-    with pytest.raises(ValueError, match="binary"):
-        core.require_binary_mask(ScalarVolume(grid16, 0.5 * mask.data))
+    with pytest.raises(ValueError):  # the mask remembers it, so it must stay as it is
+        inside[0, 0, 0] = not inside[0, 0, 0]
+    half = ScalarVolume(grid16, 0.5 * mask.data)
+    for _ in range(3):  # a remembered refusal is still a refusal
+        with pytest.raises(ValueError, match="binary"):
+            core.require_binary_mask(half)
+
+
+def test_require_binary_mask_scans_a_mask_once(grid8):
+    ufuncs = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            ufuncs.append(ufunc.__name__)
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    binary = (np.random.default_rng(23).random(grid8.dims) > 0.5).astype(float)
+    for values, refused in ((binary, False), (0.5 * binary, True)):
+        mask = ScalarVolume(grid8, values)
+        object.__setattr__(mask, "data", mask.data.view(Counted))  # sees each ufunc on the samples
+        ufuncs.clear()
+        answers, scans = [], []
+        for _ in range(3):
+            try:
+                answers.append(core.require_binary_mask(mask))
+            except ValueError:
+                answers.append(None)
+            scans.append(len(ufuncs))
+        assert scans[0] > 0 and scans[1] == scans[2] == scans[0]
+        assert (answers[0] is None) == refused and answers[1] is answers[0] and answers[2] is answers[0]
 
 
 # ---------------------------------------------------------------- erosion
@@ -341,6 +402,27 @@ def test_mask_erode_same_bits_for_every_thread_count(threads, dims, spacing, rad
     got = mask_erode(ScalarVolume(g, inside.astype(float)), radius).data
     want = ndimage.binary_erosion(inside, structure=ball_offsets(spacing, radius), border_value=0)
     assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_mask_erode_with_two_radii_in_turn_matches_binary_erosion(threads):
+    # the mask keeps one erosion: each change of radius must erode afresh
+    g = VolumeGrid((48, 47, 45), (0.8, 1.2, 1.0))
+    inside = np.random.default_rng(29).random(g.dims) > 0.002
+    mask = ScalarVolume(g, inside.astype(float))
+    for radius in (3.0, 1.5, 3.0, 1.5):
+        want = ndimage.binary_erosion(inside, structure=ball_offsets(g.spacing, radius), border_value=0)
+        assert mask_erode(mask, radius).data.tobytes() == want.astype(np.float64).tobytes()
+
+
+def test_mask_erode_again_with_the_same_radius_runs_no_erosion_step(monkeypatch, grid16):
+    steps = []
+    step = core._erode_step
+    monkeypatch.setattr(core, "_erode_step", lambda a, axis: steps.append(axis) or step(a, axis))
+    mask = ones_volume(grid16)
+    first = mask_erode(mask, 2.0)
+    assert steps
+    taken = len(steps)
+    assert mask_erode(mask, 2.0) is first and len(steps) == taken
 
 
 def test_mask_erode_threaded_vs_brute(threads):

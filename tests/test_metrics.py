@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.fft
 from scipy import ndimage
 
 from qsmkit import (
@@ -22,9 +23,10 @@ from qsmkit import (
 )
 from qsmkit import core
 from qsmkit.core import voxel_coords
+from qsmkit.dipole import forward_field
 from qsmkit.metrics import K1, K2, SIGMA, WINDOW
 
-from conftest import EZ, ones_volume, random_volume, rot_x
+from conftest import EZ, ones_volume, random_volume, rot_x, rot_y
 
 
 def _structured(g):
@@ -150,6 +152,48 @@ def test_data_consistency_zero_phase_rejected(grid16):
     )
     with pytest.raises(ValueError):
         data_consistency(zeros, ds)
+
+
+def _per_orientation_data_consistency(chi, dataset):
+    """data_consistency as one forward_field per orientation, each transforming chi again."""
+    inside = dataset.mask.data > 0.5
+    resid2 = norm2 = 0.0
+    for entry in dataset.entries:
+        predicted = forward_field(chi, dipole_kernel(dataset.grid, entry.orientation)).data
+        resid2 += float(np.sum((predicted[inside] - entry.phase.data[inside]) ** 2))
+        norm2 += float(np.sum(entry.phase.data[inside] ** 2))
+    return float(np.sqrt(resid2) / np.sqrt(norm2))
+
+
+def _random_dataset(g, rng, orientations):
+    mask = ScalarVolume(g, (rng.random(g.dims) > 0.3).astype(float))
+    entries = [Acquisition(random_volume(g, rng), ones_volume(g), b) for b in orientations]
+    return OrientationDataset(entries=tuple(entries), mask=mask)
+
+
+@pytest.mark.parametrize("dims, spacing", [
+    ((64, 64, 64), (1.0, 1.0, 1.0)), ((48, 40, 36), (0.8, 1.2, 1.0)), ((33, 28, 21), (1.0, 1.0, 1.0)),
+])
+def test_data_consistency_has_the_bits_of_one_forward_field_per_orientation(threads, dims, spacing):
+    g = VolumeGrid(dims, spacing)
+    rng = np.random.default_rng(61)
+    dataset = _random_dataset(g, rng, [EZ, rot_x(30), rot_y(-20)])
+    chi = random_volume(g, rng, 0.1)
+    assert data_consistency(chi, dataset) == _per_orientation_data_consistency(chi, dataset)
+
+
+@pytest.mark.parametrize("n_orientations", [1, 3])
+def test_data_consistency_transforms_chi_once(monkeypatch, n_orientations):
+    g = VolumeGrid((16, 12, 10))
+    rng = np.random.default_rng(62)
+    dataset = _random_dataset(g, rng, [EZ, rot_x(30), rot_y(-20)][:n_orientations])
+    chi = random_volume(g, rng)
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        original = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    data_consistency(chi, dataset)
+    assert calls == ["rfftn"] + ["irfftn"] * n_orientations
 
 
 def test_data_consistency_refuses_an_empty_mask():

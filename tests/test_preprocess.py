@@ -13,8 +13,8 @@ from qsmkit import (
     smv_filter,
 )
 from qsmkit import core
-from qsmkit.core import rfft3, voxel_coords
-from qsmkit.preprocess import sphere_kernel_spectrum
+from qsmkit.core import rfft3, spectral_apply, voxel_coords
+from qsmkit.preprocess import _laplacian_symbol, sphere_kernel_spectrum
 from qsmkit.simulate import wrap_phase
 
 from conftest import EZ, ones_volume
@@ -221,6 +221,22 @@ def test_unwrap_and_smv_same_bits_for_every_thread_count(threads, monkeypatch, d
     want_tissue, want_reliable = smv_filter(unwrapped, mask, SmvConfig(3.0, 0.01))
     assert tissue.data.tobytes() == want_tissue.data.tobytes()
     assert reliable.data.tobytes() == want_reliable.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dims, spacing", [((64, 64, 64), (1.0, 1.0, 1.0)), ((48, 47, 45), (0.8, 1.2, 1.0))]
+)
+def test_unwrap_has_the_bits_of_the_gathered_inverse_laplacian(threads, dims, spacing):
+    phase, mask = _phase_and_mask(dims, spacing, 43)
+    lap = _laplacian_symbol(phase.grid)
+    inv_lap = np.zeros_like(lap)
+    nonzero = lap != 0.0
+    inv_lap[nonzero] = 1.0 / lap[nonzero]
+    sin_w, cos_w = np.sin(phase.data), np.cos(phase.data)
+    rhs = cos_w * spectral_apply(sin_w, lap) - sin_w * spectral_apply(cos_w, lap)
+    phi = spectral_apply(rhs, inv_lap)
+    want = phi - phi[mask.data > 0.5].mean()
+    assert laplacian_unwrap(phase, mask).data.tobytes() == want.tobytes()
 
 
 def test_unwrap_trig_keeps_the_callers_error_settings(threads):
