@@ -383,6 +383,8 @@ def cmd_metrics(args, cfg):
 def cmd_slice(args, cfg):
     if args.axis not in _AXES:
         raise ConfigError(f"axis must be x, y or z, got {args.axis!r}")
+    if not args.window_max > args.window_min:
+        raise ConfigError(f"--window-max {args.window_max!r} must exceed --window-min {args.window_min!r}")
     volume = _load_volume(args.volume)
     _write_all([(args.out, slice_to_pgm(volume, args.axis, args.index, args.window_min, args.window_max))])
 

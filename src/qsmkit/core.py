@@ -13,15 +13,15 @@ Conventions used throughout the package:
   correct dipole kernels,
 * physical voxel coordinates put the origin at voxel index ``dims // 2``.
 
-The passes off the FFT path (the SSIM filters, the unwrap and NDI trig, the
-simulator's signal) run in one contiguous slab per FFT worker through
-``for_slabs``, each slab computed as the whole volume would be, so the bits do
-not depend on the thread count; ``in_background`` runs the simulator's serial
-noise draw beside a transform. Mask erosion is a short chain of boolean ANDs of shifted views
-on the caller (``mask_erode``), in numpy alone, over the mask's bounding box;
-the SSIM filters run on the box of the voxels they score. A volume owns its read-only samples (a
-copy of a caller's array, the very array a library result was made in), and a mask remembers its
-inside voxels and its last erosion.
+The passes off the FFT path (the SSIM filters, the unwrap and NDI trig, NDI's k-space
+update, the simulator's signal) hand their arrays to ``for_slabs``, which cuts their first
+axis into one contiguous slab per FFT worker. Each pass is elementwise or filters lines along
+an axis the slabs do not cut, so the bits do not depend on the thread count. ``in_background``
+runs the simulator's serial noise draw beside a transform, on the same pool. Mask erosion is a
+short chain of boolean ANDs of shifted views on the caller (``mask_erode``), in numpy alone,
+over the mask's bounding box; the SSIM filters run on the box of the voxels they score. A volume
+owns its read-only samples (a copy of a caller's array, the very array a library result was made
+in), and a mask remembers its inside voxels and its last erosion.
 
 scipy is imported on first use, on the calling thread, so a CLI stage loads
 only the scipy modules it calls (``phantom`` needs neither ``scipy.fft`` nor
@@ -86,24 +86,28 @@ _CHUNK = 1 << 15
 _pool = concurrent.futures.ThreadPoolExecutor(thread_name_prefix="qsmkit")
 
 
-def for_slabs(fn, n, stride=1):
-    """Call fn(lo, hi) on contiguous slabs covering range(n), one per FFT worker.
+def for_slabs(fn, *arrays):
+    """Call fn with each array's rows in one contiguous slab of their shared first axis, per FFT worker.
 
-    Each item holds stride voxels; slabs start on multiples of the items in
-    _CHUNK voxels, so each holds at least that many. The first slab runs on the
-    caller, since allocations in pool threads grow per-thread malloc arenas; the
-    pool runs the rest under the caller's numpy error settings. fn calls only
-    numpy and scipy.ndimage: perfbench's tracer wraps qsmkit and scipy.fft
-    functions, and its span stack is not thread-safe.
+    Slabs start on multiples of the rows in _CHUNK voxels of the first array, so
+    each holds at least that many; a pass that must not cut the first axis hands
+    in views with another axis first. The first slab runs on the caller, since
+    allocations in pool threads grow per-thread malloc arenas; the pool runs the
+    rest under the caller's numpy error settings. fn calls only numpy and
+    scipy.ndimage: perfbench's tracer wraps qsmkit and scipy.fft functions, and
+    its span stack is not thread-safe.
     """
-    grain = -(-_CHUNK // stride)
+    n = len(arrays[0])
+    if any(len(a) != n for a in arrays):
+        raise ValueError(f"for_slabs needs one first-axis length, got {[len(a) for a in arrays]}")
+    grain = -(-_CHUNK // max(1, arrays[0][:1].size))  # rows in _CHUNK voxels, rounded up
     workers = max(1, min(fft_workers(), n // grain))
     bounds = [n * i // workers // grain * grain for i in range(workers)] + [n]
-    rest = zip(bounds[1:-1], bounds[2:])
+    slabs = [[a[lo:hi] for a in arrays] for lo, hi in zip(bounds, bounds[1:])]
     # one errstate per slab, made on the caller: an errstate is entered only once
-    futures = [_pool.submit(np.errstate(**np.geterr())(fn), lo, hi) for lo, hi in rest]
+    futures = [_pool.submit(np.errstate(**np.geterr())(fn), *views) for views in slabs[1:]]
     try:
-        fn(0, bounds[1])
+        fn(*slabs[0])
     finally:
         for f in futures:
             f.result()
@@ -322,10 +326,12 @@ def irfft3(spec: np.ndarray, dims) -> np.ndarray:
 def spectral_apply(data: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """irfft3(symbol * rfft3(data)) for a real array and a half-spectrum symbol.
 
-    The product is formed in place in the forward transform's output.
+    The product is formed in place in the forward transform's output. An overflow
+    there gives inf or nan without a warning, for the caller to refuse.
     """
     spec = rfft3(data)
-    spec *= symbol
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec *= symbol
     return irfft3(spec, np.shape(data))
 
 

@@ -48,9 +48,11 @@ def _kernel_values(dims, spacing, b) -> np.ndarray:
     # operator requires. d(-k) = d(k) and frequency_axes negate exactly, so those samples are d on
     # the axes with each Nyquist entry negated; off Nyquist planes the average is the formula value.
     mirrored = (np.where(2 * np.arange(f.size) == n, -f, f) for f, n in zip(axes, dims))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         values = 0.5 * (formula(*axes) + formula(*mirrored))
     values[0, 0, 0] = 0.0
+    if not np.all(np.isfinite(values)):  # a squared frequency past the float64 range, or rounded to 0
+        raise ValueError(f"dipole kernel is not finite on voxel spacing {spacing!r} mm")
     # the frequency ratio is in [0, 1] analytically; clip round-off excursions
     np.clip(values, -2.0 / 3.0, 1.0 / 3.0, out=values)
     values.flags.writeable = False

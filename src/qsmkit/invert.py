@@ -119,17 +119,18 @@ def _least_squares(grid: VolumeGrid, terms, floor: float, lam: float = 0.0) -> S
     is gradient_energy_spectrum. The quotient is formed in place in the numerator.
     """
     numerator = denominator = None
-    for phase, d in terms:
-        spec = rfft3(phase)
-        spec *= d
-        if numerator is None:
-            numerator, denominator = spec, d * d
-        else:
-            numerator += spec
-            denominator += d * d
-        del spec  # before the next orientation's transform
-    # a large lambda gives an inf denominator, a subnormal one an inf result that ScalarVolume refuses
+    # a phase near the float range, or a large lambda, overflows to inf or nan, and a subnormal
+    # denominator gives an inf result: ScalarVolume refuses either
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for phase, d in terms:
+            spec = rfft3(phase)
+            spec *= d
+            if numerator is None:
+                numerator, denominator = spec, d * d
+            else:
+                numerator += spec
+                denominator += d * d
+            del spec  # before the next orientation's transform
         if lam:
             denominator += lam * gradient_energy_spectrum(grid)
         numerator /= denominator

@@ -156,6 +156,7 @@ def slice_to_pgm(volume: ScalarVolume, axis: str, index: int, window_min: float,
     if not window_max > window_min:
         raise ValueError("window_max must exceed window_min")
     plane = np.take(volume.data, index, axis=ax)  # (first in-plane, second in-plane)
-    normalized = np.clip((plane - window_min) / (window_max - window_min), 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a tiny window gives inf, which the clip saturates
+        normalized = np.clip((plane - window_min) / (window_max - window_min), 0.0, 1.0)
     pixels = np.floor(normalized * 255.0 + 0.5).astype(np.uint8).T  # rows: second in-plane axis
     return f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii") + pixels.tobytes(order="C")

@@ -60,17 +60,14 @@ def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
 def _local_mean(data: np.ndarray) -> np.ndarray:
     from scipy import ndimage  # on the caller: slabs on pool threads find it loaded
 
+    def slab(src, out):  # reads axis of the loop
+        ndimage.correlate1d(src, _WEIGHTS, axis=axis or 1, output=out, mode="constant")
+
     out = data
     for axis in range(3):
-        # lines along axis are filtered independently: slabs run across another
+        # lines along axis are filtered independently: slabs cut the first axis, or y for the x lines
         src, out = out, np.empty(data.shape)
-
-        def slab(lo, hi):
-            part = np.s_[lo:hi] if axis else np.s_[:, lo:hi]
-            ndimage.correlate1d(src[part], _WEIGHTS, axis=axis, output=out[part], mode="constant")
-
-        across = 0 if axis else 1
-        for_slabs(slab, data.shape[across], data.size // data.shape[across])
+        for_slabs(slab, *((src, out) if axis else (src.swapaxes(0, 1), out.swapaxes(0, 1))))
     return out
 
 
@@ -134,10 +131,13 @@ def data_consistency(chi: ScalarVolume, dataset: OrientationDataset) -> float:
     resid2 = 0.0
     norm2 = 0.0
     spec = rfft3(chi.data)
-    for entry in dataset.entries:
-        predicted = irfft3(spec * dipole_kernel(dataset.grid, entry.orientation).half, chi.grid.dims)
-        resid2 += float(np.sum((predicted[inside] - entry.phase.data[inside]) ** 2))
-        norm2 += float(np.sum(entry.phase.data[inside] ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for entry in dataset.entries:
+            predicted = irfft3(spec * dipole_kernel(dataset.grid, entry.orientation).half, chi.grid.dims)
+            resid2 += float(np.sum((predicted[inside] - entry.phase.data[inside]) ** 2))
+            norm2 += float(np.sum(entry.phase.data[inside] ** 2))
+    if not (math.isfinite(resid2) and math.isfinite(norm2)):
+        raise ValueError("data consistency overflows the float64 range for this chi and dataset")
     if norm2 == 0.0:
         raise ValueError("dataset phase is identically zero inside the mask")
     return float(np.sqrt(resid2) / np.sqrt(norm2))

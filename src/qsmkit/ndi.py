@@ -74,10 +74,9 @@ def trig_cost(field, phase, w2):
 
 
 def _scratch(field):
-    """field as a flat view, for a kernel that writes its result over it."""
+    """Refuses a field that a kernel cannot write its result over."""
     if field.dtype != np.float64 or not field.flags.c_contiguous:
         raise ValueError("field must be a C-contiguous float64 array: it is overwritten")
-    return field.reshape(-1)
 
 
 def weighted_sin_residual(field, phase, w2):
@@ -88,15 +87,14 @@ def weighted_sin_residual(field, phase, w2):
     slabs residual_and_cost uses, so the result is the same bits as the
     plain expression for every thread count.
     """
-    r = _scratch(field)
-    p, w = np.ravel(phase), np.ravel(w2)
+    _scratch(field)
 
-    def slab(lo, hi):
-        np.subtract(r[lo:hi], p[lo:hi], out=r[lo:hi])
-        np.sin(r[lo:hi], out=r[lo:hi])
-        r[lo:hi] *= w[lo:hi]
+    def slab(r, p, w):
+        np.subtract(r, p, out=r)
+        np.sin(r, out=r)
+        r *= w
 
-    for_slabs(slab, r.size)
+    for_slabs(slab, field, phase, w2)
     return field
 
 
@@ -110,21 +108,19 @@ def residual_and_cost(field, phase, w2):
     the whole volume, so both results are the same bits for every thread
     count.
     """
-    r = _scratch(field)
-    terms = np.empty(np.shape(field))
-    p, w = np.ravel(phase), np.ravel(w2)
-    c = terms.reshape(-1)
+    _scratch(field)
+    terms = np.empty(field.shape)
 
-    def slab(lo, hi):
-        d = np.subtract(r[lo:hi], p[lo:hi])
-        np.sin(d, out=r[lo:hi])
-        r[lo:hi] *= w[lo:hi]
+    def slab(r, p, w, c):
+        d = np.subtract(r, p)
+        np.sin(d, out=r)
+        r *= w
         np.cos(d, out=d)
         np.subtract(1.0, d, out=d)
-        np.multiply(2.0, w[lo:hi], out=c[lo:hi])
-        c[lo:hi] *= d
+        np.multiply(2.0, w, out=c)
+        c *= d
 
-    for_slabs(slab, r.size)
+    for_slabs(slab, field, phase, w2, terms)
     return field, float(np.sum(terms))
 
 
@@ -241,23 +237,18 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
     spec = np.multiply(chi_hat, terms[0][2])
     shrink = 1.0 - 2.0 * tau * lam
     step = 2.0 * tau
-    planes, plane = chi_hat.shape[0], chi_hat[0].size
     cost_history: list[float] = []
     nrmse_history: list[float] = []
 
-    def fused_pass(term, half, update, next_half, last):
-        def slab(lo, hi):
-            s = slice(lo, hi)
-            np.multiply(term[s], half[s], out=term[s])
-            if update is not term:
-                np.add(update[s], term[s], out=update[s])
-            if last:
-                np.multiply(chi_hat[s], shrink, out=chi_hat[s])
-                np.multiply(update[s], step, out=update[s])
-                np.subtract(chi_hat[s], update[s], out=chi_hat[s])
-            np.multiply(chi_hat[s], next_half[s], out=spec[s])
-
-        for_slabs(slab, planes, plane)
+    def fused_slab(term, half, update, chi_hat, next_half, spec):  # reads r and following of the loop
+        np.multiply(term, half, out=term)
+        if r > 0:
+            np.add(update, term, out=update)
+        if following == 0:
+            np.multiply(chi_hat, shrink, out=chi_hat)
+            np.multiply(update, step, out=update)
+            np.subtract(chi_hat, update, out=chi_hat)
+        np.multiply(chi_hat, next_half, out=spec)
 
     for t in range(cfg.max_iters):
         # overflow here is not an error condition: the guards below turn a
@@ -282,7 +273,7 @@ def ndi_reconstruct(dataset: OrientationDataset, cfg: NdiConfig = NdiConfig()) -
                 if r == 0:
                     update = term
                 following = (r + 1) % len(terms)
-                fused_pass(term, half, update, terms[following][2], last=following == 0)
+                for_slabs(fused_slab, term, half, update, chi_hat, terms[following][2], spec)
             if cfg.record_history:
                 if not np.isfinite(cost_t):
                     raise NdiDivergenceError(f"cost became non-finite at iteration {t}")

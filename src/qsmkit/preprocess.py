@@ -63,13 +63,12 @@ def laplacian_unwrap(wrapped: ScalarVolume, mask: ScalarVolume) -> ScalarVolume:
     inv_lap = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap != 0.0)
 
     sin_w, cos_w = np.empty(grid.dims), np.empty(grid.dims)
-    w, s, c = (v.reshape(-1) for v in (wrapped.data, sin_w, cos_w))
 
-    def slab(lo, hi):
-        np.sin(w[lo:hi], out=s[lo:hi])
-        np.cos(w[lo:hi], out=c[lo:hi])
+    def slab(w, s, c):
+        np.sin(w, out=s)
+        np.cos(w, out=c)
 
-    for_slabs(slab, w.size)
+    for_slabs(slab, wrapped.data, sin_w, cos_w)
     rhs = cos_w * spectral_apply(sin_w, lap) - sin_w * spectral_apply(cos_w, lap)
     phi = spectral_apply(rhs, inv_lap)
 

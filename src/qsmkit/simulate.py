@@ -145,19 +145,18 @@ def _received(clean, amplitude, eta):
     """Angle in (-pi, pi] and modulus of amplitude*exp(1j*clean) + eta[0] + 1j*eta[1] (no noise if eta is
     None): that expression's ufuncs on its operands in its order, in slabs of x-planes on the FFT workers."""
     signal = np.empty(clean.shape, dtype=np.complex128)
-    noise_i = None if eta is None else np.empty_like(signal)
+    noise = () if eta is None else (*eta, np.empty_like(signal))  # real, imaginary, 1j*imaginary
     phase, modulus = np.empty(clean.shape), np.empty(clean.shape)
 
-    def slab(lo, hi):
-        sig = signal[lo:hi]
-        np.multiply(amplitude[lo:hi], np.exp(np.multiply(1j, clean[lo:hi], out=sig), out=sig), out=sig)
-        if eta is not None:
-            np.add(sig, eta[0, lo:hi], out=sig)
-            np.add(sig, np.multiply(1j, eta[1, lo:hi], out=noise_i[lo:hi]), out=sig)
-        np.arctan2(sig.imag, sig.real, out=phase[lo:hi])  # np.angle
-        np.abs(sig, out=modulus[lo:hi])
+    def slab(sig, clean, amplitude, phase, modulus, real=None, imag=None, noise_i=None):
+        np.multiply(amplitude, np.exp(np.multiply(1j, clean, out=sig), out=sig), out=sig)
+        if real is not None:
+            np.add(sig, real, out=sig)
+            np.add(sig, np.multiply(1j, imag, out=noise_i), out=sig)
+        np.arctan2(sig.imag, sig.real, out=phase)  # np.angle
+        np.abs(sig, out=modulus)
 
-    for_slabs(slab, len(clean), clean[0].size)
+    for_slabs(slab, signal, clean, amplitude, phase, modulus, *noise)
     phase[phase <= -np.pi] = np.pi  # arg convention: (-pi, pi]
     return phase, modulus
 

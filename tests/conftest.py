@@ -23,11 +23,13 @@ def child_env(**overrides: str) -> dict:
     The directory holding the imported ``qsmkit`` package comes first, then the
     inherited ``PYTHONPATH`` entries made absolute: a relative entry such as
     ``src`` would otherwise resolve against the child's working directory.
+    ``PYTHONWARNINGS`` makes a RuntimeWarning an error in the child, as
+    pyproject's ``filterwarnings`` does in the test process.
     """
     source_root = Path(qsmkit.__file__).resolve().parents[1]
     inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     paths = [source_root, *(Path(p).resolve() for p in inherited)]
-    env = dict(os.environ, **overrides)
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **overrides}
     env["PYTHONPATH"] = os.pathsep.join(map(str, paths))
     return env
 

@@ -922,6 +922,12 @@ def test_child_env_imports_qsmkit_under_test_from_any_cwd(tmp_path):
     assert proc.stdout.strip() == str(Path(qsmkit.__file__).resolve())
 
 
+def test_child_env_makes_a_runtime_warning_an_error(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", "import numpy as np; np.float64(1e308) * 10"],
+                          cwd=tmp_path, capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 1
+    assert "RuntimeWarning: overflow" in proc.stderr
+
 def test_missing_subcommand_exits_2():
     assert main([]) == 2
 
@@ -1240,3 +1246,36 @@ def test_readme_example_phantom_config_runs(tmp_path, capsys, monkeypatch):
     assert main(["phantom", "--config", "config.json"]) == 0
     assert capsys.readouterr().err == ""
     assert read_nifti(tmp_path / "chi.nii").grid.dims == (64, 64, 64)
+
+
+@pytest.mark.parametrize("algo", ["cosmos", "l2"])
+def test_phase_scale_past_the_float_range_in_k_space_exits_1_without_a_warning(tmp_path, capsys, algo):
+    # each sample is finite, 1e308, but the DC sum of the transform is not: the k-space product is
+    # refused through the volume it makes (a warning here is an error, as pyproject sets)
+    grid = VolumeGrid((8, 8, 8))
+    for name in ("phase", "magnitude", "mask"):
+        write_nifti(tmp_path / f"{name}.nii", ScalarVolume(grid, np.ones(grid.dims)))
+    rc = main(["invert", "--algo", algo, "--phase", str(tmp_path / "phase.nii"),
+               "--magnitude", str(tmp_path / "magnitude.nii"), "--bvec", "0,0,1",
+               "--mask", str(tmp_path / "mask.nii"), "--phase-scale", "1e308", "--out", str(tmp_path / "x.nii")])
+    assert rc == 1
+    assert "finite" in _one_line_error(capsys)
+    assert not (tmp_path / "x.nii").exists()
+
+
+def test_slice_window_is_checked_before_the_volume_is_read(tmp_path, capsys):
+    for low, high in (("1", "1"), ("2", "1")):
+        rc = main(["slice", "--volume", str(tmp_path / "missing.nii"), "--axis", "z", "--index", "0",
+                   "--window-min", low, "--window-max", high, "--out", str(tmp_path / "s.pgm")])
+        assert rc == 2
+        assert "--window-max" in _one_line_error(capsys)
+
+
+def test_slice_with_a_subnormal_window_saturates_without_a_warning(tmp_path):
+    # 1/5e-324 overflows to inf, which the clip maps to 255 (a warning here is an error, as pyproject sets)
+    volume = ScalarVolume(VolumeGrid((2, 2, 1)), np.array([[[-1.0], [0.0]], [[1e-30], [1.0]]]))
+    write_nifti(tmp_path / "v.nii", volume)
+    rc = main(["slice", "--volume", str(tmp_path / "v.nii"), "--axis", "z", "--index", "0",
+               "--window-min", "0", "--window-max", "5e-324", "--out", str(tmp_path / "s.pgm")])
+    assert rc == 0
+    assert (tmp_path / "s.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 255, 0, 255])

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import threading
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from qsmkit import (
     tkd,
 )
 import qsmkit
-from qsmkit import core
+from qsmkit import core, metrics
 from qsmkit.core import ball_offsets, fft_workers, frequency_axes, rfft3, spectral_apply
 from qsmkit.dipole import dipole_kernel
 from qsmkit.ndi import _half_norm2
@@ -496,6 +497,53 @@ def test_fft_workers_reads_qsm_threads(monkeypatch):
         monkeypatch.setenv("QSM_THREADS", value)
         with pytest.raises(ValueError, match="QSM_THREADS"):
             fft_workers()
+
+
+@pytest.mark.parametrize("dims", [(48, 40, 36), (33, 28, 40), (4, 128, 130), (7, 5, 3)])
+def test_for_slabs_hands_fn_the_same_rows_of_every_array_once_in_order(threads, dims):
+    a = np.arange(np.prod(dims), dtype=np.float64).reshape(dims)
+    arrays = (a, np.empty(dims, dtype=np.complex128), np.empty(dims[0]), np.empty((2,) + dims)[1])
+    row = a[0].size
+    slabs = []
+
+    def fn(*views):
+        lo = int(views[0].flat[0]) // row  # a holds its flat index
+        for view, array in zip(views, arrays, strict=True):
+            rows = array[lo : lo + len(views[0])]
+            assert view.base is not None and view.ctypes.data == rows.ctypes.data
+            assert view.shape == rows.shape and view.strides == rows.strides
+        slabs.append((lo, lo + len(views[0]), threading.current_thread()))
+
+    core.for_slabs(fn, *arrays)
+    slabs.sort(key=lambda s: s[0])
+    bounds = [lo for lo, _, _ in slabs] + [slabs[-1][1]]
+    assert bounds[0] == 0 and bounds[-1] == dims[0]
+    assert all(hi == lo for (_, hi, _), (lo, _, _) in zip(slabs, slabs[1:]))  # each row once
+    assert slabs[0][2] is threading.current_thread()  # the first slab runs on the caller
+    split = a.size >= 2 * core._CHUNK
+    assert len(slabs) == (int(threads) if split else 1)
+    grain = -(-core._CHUNK // row)
+    assert all(lo % grain == 0 and hi - lo >= grain for lo, hi, _ in slabs[:-1])
+
+
+def test_for_slabs_refuses_arrays_with_another_first_axis():
+    with pytest.raises(ValueError, match="first-axis length"):
+        core.for_slabs(lambda *views: None, np.zeros((4, 3)), np.zeros((3, 4)))
+
+
+def test_ssim_x_lines_filtered_on_swapped_slabs_keep_the_bits_of_one_correlate1d(threads, monkeypatch):
+    data = np.random.default_rng(37).standard_normal((40, 48, 36))
+    assert data.size >= 2 * core._CHUNK
+    calls = []
+    correlate1d = ndimage.correlate1d
+    monkeypatch.setattr(ndimage, "correlate1d", lambda *a, **k: calls.append(k["axis"]) or correlate1d(*a, **k))
+    got = metrics._local_mean(data)
+    want = data
+    for axis in range(3):
+        want = correlate1d(want, metrics._WEIGHTS, axis=axis, mode="constant")
+    assert got.tobytes() == want.tobytes()
+    # x lines on views with y first, then y and z lines on x slabs; each pass once per thread
+    assert calls == [1] * int(threads) + [1] * int(threads) + [2] * int(threads)
 
 
 # ------------------------------------------------------- spectral core

@@ -15,6 +15,7 @@ from qsmkit import (
 )
 
 from qsmkit.core import frequency_axes, outer_sum
+from qsmkit.simulate import simulate_acquisition
 
 from conftest import (
     EZ,
@@ -198,3 +199,13 @@ def test_kernel_bytes_equal_the_full_lattice_formula(dims, spacing, orientation)
     assert kernel.half.shape == dims[:2] + (dims[2] // 2 + 1,)
     assert kernel.half.tobytes() == full[:, :, : dims[2] // 2 + 1].tobytes()
     assert kernel.half.flags.c_contiguous and not kernel.half.flags.writeable
+
+
+def test_field_past_the_float_range_is_refused_without_a_warning():
+    # a warning here is an error, as pyproject sets: the k-space product must overflow quietly
+    grid = VolumeGrid((8, 8, 8))
+    chi = random_volume(grid, np.random.default_rng(5), scale=1e307)
+    with pytest.raises(ValueError, match="finite"):
+        forward_field(chi, dipole_kernel(grid, EZ))
+    with pytest.raises(ValueError, match="finite"):
+        simulate_acquisition(chi, ScalarVolume(grid, np.ones(grid.dims)), [EZ])

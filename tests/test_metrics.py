@@ -337,3 +337,22 @@ def test_ssim_filters_only_the_box_of_the_scored_voxels(monkeypatch):
     monkeypatch.setattr(ndimage, "correlate1d", recording)
     ssim3d(x, ref, ScalarVolume(g, mask))
     assert len(shapes) == 15 and set(shapes) == {(16, 16, 16)}
+
+
+
+def _consistency_of_a_1e300_chi():
+    g = VolumeGrid((8, 8, 8))
+    rng = np.random.default_rng(63)
+    dataset = _random_dataset(g, rng, [EZ])
+    return data_consistency(random_volume(g, rng, 1e300), dataset)
+
+
+@pytest.mark.parametrize("compute, message", [
+    (_consistency_of_a_1e300_chi, "data consistency overflows the float64 range"),
+    (lambda: dipole_kernel(VolumeGrid((4, 4, 4), (1e300,) * 3), rot_x(30)), "spacing .1e.300"),
+    (lambda: dipole_kernel(VolumeGrid((4, 4, 4), (1e-300,) * 3), rot_x(30)), "spacing .1e-300"),
+], ids=["data-consistency-chi-1e300", "kernel-spacing-1e300", "kernel-spacing-1e-300"])
+def test_library_result_past_the_float_range_is_refused(compute, message):
+    # neither is reachable from float32 NIfTI inputs; a warning here is an error, as pyproject sets
+    with pytest.raises(ValueError, match=message):
+        compute()
