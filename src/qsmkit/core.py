@@ -23,11 +23,10 @@ over the mask's bounding box; the SSIM filters run on the box of the voxels they
 owns its read-only samples (a copy of a caller's array, the very array a library result was made
 in), and a mask remembers its inside voxels and its last erosion.
 
-scipy is imported on first use, on the calling thread, so a CLI stage loads
-only the scipy modules it calls (``phantom`` needs neither ``scipy.fft`` nor
-``scipy.ndimage``, ``smv`` only ``scipy.fft``). The transforms are called as
-``scipy.fft`` attributes at call time, so a wrapper swapped onto that module
-(perfbench's tracer) sees every call.
+The four transforms below are the package's only scipy calls: ``scipy.fft`` is imported on
+their first use, on the calling thread, so a CLI stage that transforms nothing (``phantom``,
+``metrics`` without a dataset) runs on numpy alone. They are called as ``scipy.fft`` attributes
+at call time, so a wrapper swapped onto that module (perfbench's tracer) sees every call.
 """
 
 from __future__ import annotations
@@ -93,9 +92,9 @@ def for_slabs(fn, *arrays):
     each holds at least that many; a pass that must not cut the first axis hands
     in views with another axis first. The first slab runs on the caller, since
     allocations in pool threads grow per-thread malloc arenas; the pool runs the
-    rest under the caller's numpy error settings. fn calls only numpy and
-    scipy.ndimage: perfbench's tracer wraps qsmkit and scipy.fft functions, and
-    its span stack is not thread-safe.
+    rest under the caller's numpy error settings. fn calls only numpy:
+    perfbench's tracer wraps qsmkit and scipy.fft functions, and its span
+    stack is not thread-safe.
     """
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):

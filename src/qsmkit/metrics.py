@@ -57,17 +57,63 @@ def nrmse(x: ScalarVolume, ref: ScalarVolume, mask: ScalarVolume) -> float:
     return err_norm / ref_norm
 
 
+# _window_lines takes first-axis rows of at most this many voxels at a time, so its buffers stay in
+# a core's L2. On a 2-core Xeon (2 MB L2 per core) the three passes over a 110^3 box took 23-26 ms
+# in blocks of 2^15 to 2^16 voxels (2 to 5 planes), 35-39 ms in blocks of one plane, and 25-31 ms
+# as three ndimage.correlate1d calls (medians of 12-15 calls).
+_BLOCK = 1 << 15
+
+
+def _window_lines(src: np.ndarray, out: np.ndarray, *axes: int):
+    """out = src correlated with _WEIGHTS along each of axes (1 and/or 2) in turn, zero past both ends
+    of each line.
+
+    The bits of ``scipy.ndimage.correlate1d(src, _WEIGHTS, axis, mode="constant")`` per axis, whose
+    loop for a symmetric window this repeats in its order: out = x[i]·w[3], then
+    out += (x[i-j] + x[i+j])·w[3-j] for j = 3, 2, 1. A few first-axis rows at a time are copied into
+    a buffer whose lines are padded with 3 zeros at each end; the ten passes run over its flat run,
+    where the 6 zeros between two lines keep them apart, and each line's own samples go on to the
+    next axis's buffer, then to out.
+    """
+    half = WINDOW // 2
+    rows = max(1, _BLOCK // max(1, src[:1].size))
+    buffers = []
+    for axis in axes:
+        shape = list(src[:rows].shape)
+        shape[axis] += 2 * half
+        padded = np.zeros(shape)
+        lines = (slice(None),) * axis + (slice(half, half + src.shape[axis]),)
+        buffers.append((padded, np.empty(shape), lines, padded.strides[axis] // padded.itemsize))
+    term = np.empty(max(b[0].size for b in buffers))
+    for lo in range(0, len(src), rows):
+        block = src[lo : lo + rows]
+        k = len(block)
+        for padded, acc, lines, step in buffers:  # step: one voxel along the axis, in the flat run
+            padded[:k][lines] = block
+            flat = padded[:k].reshape(-1)
+            n = flat.size - 2 * half * step  # from the first line's first sample to the last's last
+
+            def shifted(j):
+                return flat[(half + j) * step : (half + j) * step + n]
+
+            total, t = acc.reshape(-1)[half * step : half * step + n], term[:n]
+            np.multiply(shifted(0), _WEIGHTS[half], out=total)
+            for j in range(half, 0, -1):
+                np.add(shifted(-j), shifted(j), out=t)
+                t *= _WEIGHTS[half - j]
+                total += t
+            block = acc[:k][lines]
+        out[lo : lo + rows] = block
+
+
 def _local_mean(data: np.ndarray) -> np.ndarray:
-    from scipy import ndimage  # on the caller: slabs on pool threads find it loaded
-
-    def slab(src, out):  # reads axis of the loop
-        ndimage.correlate1d(src, _WEIGHTS, axis=axis or 1, output=out, mode="constant")
-
-    out = data
-    for axis in range(3):
-        # lines along axis are filtered independently: slabs cut the first axis, or y for the x lines
-        src, out = out, np.empty(data.shape)
-        for_slabs(slab, *((src, out) if axis else (src.swapaxes(0, 1), out.swapaxes(0, 1))))
+    """data filtered with the separable window along x, y and z in turn: the bits of three
+    ``scipy.ndimage.correlate1d(..., mode="constant")`` calls in that order (``_window_lines``).
+    The x lines run on slabs of y, the y and z lines together on slabs of x."""
+    along_x = np.empty(data.shape)
+    for_slabs(lambda src, out: _window_lines(src, out, 1), data.swapaxes(0, 1), along_x.swapaxes(0, 1))
+    out = np.empty(data.shape)
+    for_slabs(lambda src, out: _window_lines(src, out, 1, 2), along_x, out)
     return out
 
 

@@ -889,16 +889,42 @@ def test_import_cli_loads_no_scipy_module(tmp_path):
           "--out", "ndi.nii", "--ndi-iters", "3"], ["scipy.fft"]),
         (["smv", "--phase", "sim/phase_000.nii", "--mask", "mask.nii", "--out", "s.nii",
           "--smv-radius", "2"], ["scipy.fft"]),
-        (["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", "--out", "m.json"],
-         ["scipy.ndimage"]),
+        (["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", "--out", "m.json"], []),
+        (["metrics", "--x", "chi.nii", "--ref", "chi.nii", "--mask", "mask.nii", "--dataset", "sim/dataset.json",
+          "--out", "m.json"], ["scipy.fft"]),
     ],
-    ids=["phantom", "simulate", "unwrap", "invert-ndi", "smv", "metrics"],
+    ids=["phantom", "simulate", "unwrap", "invert-ndi", "smv", "metrics", "metrics-dataset"],
 )
 def test_stage_loads_only_the_scipy_modules_it_calls(tmp_path, argv, loaded):
     _small_dataset(tmp_path)
     _write_config(tmp_path, _phantom_config(tmp_path, dims=8, radius=2.0, mask_radius=3.5))
     code = f"from qsmkit.cli import main\nassert main({argv!r}) == 0"
     assert _scipy_modules_after(code, tmp_path) == loaded
+
+
+def _scipy_imports(tree):
+    """(enclosing top-level function or "<module>", scipy module) for each import statement in tree."""
+    found = set()
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" if node.module == "scipy" else node.module
+                         for alias in node.names]
+            else:
+                continue
+            found |= {(where, name) for name in names if name.split(".")[0] == "scipy"}
+    return found
+
+
+def test_the_only_scipy_import_is_scipy_fft_inside_the_core_transforms():
+    # a stage loads scipy.fft only when it transforms, and no stage loads any other scipy module
+    package = Path(qsmkit.__file__).parent
+    found = {(path.name, *where) for path in sorted(package.glob("*.py"))
+             for where in _scipy_imports(ast.parse(path.read_text()))}
+    assert found == {("core.py", name, "scipy.fft") for name in ("fft3", "ifft3", "rfft3", "irfft3")}
 
 
 def test_module_entrypoint_help():

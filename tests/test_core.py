@@ -535,15 +535,20 @@ def test_ssim_x_lines_filtered_on_swapped_slabs_keep_the_bits_of_one_correlate1d
     data = np.random.default_rng(37).standard_normal((40, 48, 36))
     assert data.size >= 2 * core._CHUNK
     calls = []
-    correlate1d = ndimage.correlate1d
-    monkeypatch.setattr(ndimage, "correlate1d", lambda *a, **k: calls.append(k["axis"]) or correlate1d(*a, **k))
+    window_lines = metrics._window_lines
+
+    def recording(src, out, *axes):
+        calls.append(axes)
+        return window_lines(src, out, *axes)
+
+    monkeypatch.setattr(metrics, "_window_lines", recording)
     got = metrics._local_mean(data)
     want = data
     for axis in range(3):
-        want = correlate1d(want, metrics._WEIGHTS, axis=axis, mode="constant")
+        want = ndimage.correlate1d(want, metrics._WEIGHTS, axis=axis, mode="constant")
     assert got.tobytes() == want.tobytes()
-    # x lines on views with y first, then y and z lines on x slabs; each pass once per thread
-    assert calls == [1] * int(threads) + [1] * int(threads) + [2] * int(threads)
+    # x lines on views with y first, then y and z lines together on x slabs; each axis once per thread
+    assert calls == [(1,)] * int(threads) + [(1, 2)] * int(threads)
 
 
 # ------------------------------------------------------- spectral core

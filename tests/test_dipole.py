@@ -209,3 +209,19 @@ def test_field_past_the_float_range_is_refused_without_a_warning():
         forward_field(chi, dipole_kernel(grid, EZ))
     with pytest.raises(ValueError, match="finite"):
         simulate_acquisition(chi, ScalarVolume(grid, np.ones(grid.dims)), [EZ])
+
+
+def test_kernel_whose_squared_frequencies_are_subnormal_is_refused():
+    # at 1e160 mm, k^2 is subnormal: the kernel came out finite but 0.016 off its direction's values
+    with pytest.raises(ValueError, match=r"normal float64 range on voxel spacing \(1e\+160, 1e\+160, 1e\+160\)"):
+        dipole_kernel(VolumeGrid((8, 8, 8), (1e160,) * 3), Orientation((0.0, 0.6, 0.8)))
+
+
+@pytest.mark.parametrize("spacing", [float(np.finfo(np.float32).max), float(np.finfo(np.float32).tiny),
+                                     float(np.finfo(np.float32).smallest_subnormal)])
+def test_kernel_on_every_float32_spacing_is_the_unit_spacing_kernel(spacing):
+    # a NIfTI pixdim is float32, so no spacing read from a header reaches the refusal above
+    b = Orientation((0.0, 0.6, 0.8))
+    kernel = dipole_kernel(VolumeGrid((8, 8, 8), (spacing,) * 3), b).half
+    unit = dipole_kernel(VolumeGrid((8, 8, 8)), b).half
+    assert np.abs(kernel - unit).max() <= 1e-15

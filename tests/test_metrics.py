@@ -1,3 +1,8 @@
+import os
+import re
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +14,7 @@ from qsmkit import (
     Acquisition,
     L2Config,
     NoiseSpec,
+    Orientation,
     OrientationDataset,
     ScalarVolume,
     TkdConfig,
@@ -16,12 +22,13 @@ from qsmkit import (
     data_consistency,
     dipole_kernel,
     l2_closedform,
+    mask_erode,
     nrmse,
     simulate_acquisition,
     ssim3d,
     tkd,
 )
-from qsmkit import core
+from qsmkit import core, metrics
 from qsmkit.core import voxel_coords
 from qsmkit.dipole import forward_field
 from qsmkit.metrics import K1, K2, SIGMA, WINDOW
@@ -328,16 +335,43 @@ def test_ssim_filters_only_the_box_of_the_scored_voxels(monkeypatch):
     rng = np.random.default_rng(44)
     x, ref = random_volume(g, rng), random_volume(g, rng)
     shapes = []
-    correlate1d = ndimage.correlate1d
+    window_lines = metrics._window_lines
 
-    def recording(data, *args, **kwargs):
-        shapes.append(np.shape(data))
-        return correlate1d(data, *args, **kwargs)
+    def recording(src, out, *axes):
+        shapes.extend([np.shape(src)] * len(axes))  # one pass per axis
+        return window_lines(src, out, *axes)
 
-    monkeypatch.setattr(ndimage, "correlate1d", recording)
+    monkeypatch.setattr(metrics, "_window_lines", recording)
     ssim3d(x, ref, ScalarVolume(g, mask))
     assert len(shapes) == 15 and set(shapes) == {(16, 16, 16)}
 
+
+# signed zeros, subnormals, the ends of the normal range, and samples near 1e300
+_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300])
+
+
+@st.composite
+def _window_inputs(draw):
+    dims = draw(st.tuples(*[st.integers(7, 24)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 0.0, 1e-300, 1e-310, 1e300, -1e300, None]))  # 0: random signed zeros
+    data = np.full(dims, rng.choice(_EXTREMES)) if scale is None else scale * rng.standard_normal(dims)
+    spots = rng.integers(0, data.size, draw(st.integers(0, data.size)))
+    data.flat[spots] = rng.choice(_EXTREMES, spots.size)
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_window_inputs(), threads=st.sampled_from(["1", "2"]), block=st.sampled_from([1, 300, 1 << 15]))
+def test_local_mean_has_the_bits_of_three_correlate1d_calls(data, threads, block):
+    # slabs of at least 64 voxels, so two threads cut these small boxes; blocks of one row and more
+    with mock.patch.dict(os.environ, {"QSM_THREADS": threads}), mock.patch.object(core, "_CHUNK", 64), \
+            mock.patch.object(metrics, "_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
+        got = metrics._local_mean(data)
+        want = data
+        for axis in range(3):
+            want = ndimage.correlate1d(want, metrics._WEIGHTS, axis=axis, mode="constant")
+    assert got.tobytes() == want.tobytes()
 
 
 def _consistency_of_a_1e300_chi():
@@ -356,3 +390,58 @@ def test_library_result_past_the_float_range_is_refused(compute, message):
     # neither is reachable from float32 NIfTI inputs; a warning here is an error, as pyproject sets
     with pytest.raises(ValueError, match=message):
         compute()
+
+
+# ---------------------------------------------- fuzz of the metric entry points
+
+_SCALES = st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                                            st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)))
+# each refusal names the input it cannot score
+_REFUSALS = {
+    nrmse: r"mask is empty|NRMSE reference is constant inside the mask|NRMSE overflows the float64 range",
+    ssim3d: r"volume \(.*\) smaller than one 7\^3 SSIM window|mask has no voxel with a full SSIM window"
+            r"|SSIM c1 .* from dynamic_range .* must be positive and finite|SSIM overflows the float64 range",
+    data_consistency: r"mask is empty|data consistency overflows the float64 range"
+                      r"|dataset phase is identically zero inside the mask",
+    mask_erode: r"^$",  # none: every radius drawn is finite and >= 0
+}
+
+
+@st.composite
+def _metric_inputs(draw):
+    """A grid of 1-12 voxels per axis at 1e-3 to 1e3 mm, a full, empty, one-voxel or random mask, and
+    volumes at scales from 0 to +-1e300."""
+    grid = VolumeGrid(draw(st.tuples(*[st.integers(1, 12)] * 3)), draw(st.tuples(*[st.floats(1e-3, 1e3)] * 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "empty", "one voxel", "random"]))
+    mask = np.zeros(grid.dims)
+    if kind == "full":
+        mask[...] = 1.0
+    elif kind == "one voxel":
+        mask[tuple(rng.integers(0, n) for n in grid.dims)] = 1.0
+    elif kind == "random":
+        mask = (rng.random(grid.dims) < draw(st.floats(0.0, 1.0))).astype(float)
+    x, ref, chi, phase = (random_volume(grid, rng, draw(_SCALES)) for _ in range(4))
+    b = Orientation.from_vector(rng.standard_normal(3))
+    entry = Acquisition(phase, ScalarVolume(grid, np.abs(rng.standard_normal(grid.dims))), b)
+    dataset = OrientationDataset((entry,), ScalarVolume(grid, mask))
+    radius = draw(st.floats(0.0, 13.0)) * grid.spacing[draw(st.integers(0, 2))]
+    return x, ref, ScalarVolume(grid, mask), chi, dataset, radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_metric_inputs())
+def test_metric_entry_points_give_a_finite_result_or_name_the_input(case):
+    x, ref, mask, chi, dataset, radius = case
+    calls = [(nrmse, (x, ref, mask)), (ssim3d, (x, ref, mask)), (data_consistency, (chi, dataset)),
+             (mask_erode, (mask, radius))]
+    for fn, args in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                result = fn(*args)
+            except ValueError as err:
+                assert re.search(_REFUSALS[fn], str(err)), (fn.__name__, err)
+                continue
+        values = result.data if fn is mask_erode else np.float64(result)
+        assert np.all(np.isfinite(values)), (fn.__name__, result)
